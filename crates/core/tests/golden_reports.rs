@@ -13,7 +13,9 @@
 //! cargo test -p vanet-core --test golden_reports -- --ignored --nocapture regenerate
 //! ```
 
-use vanet_core::{run_scenario, ProtocolKind, Report, Scenario};
+use vanet_core::{
+    run_scenario, MediumStats, ProtocolKind, Report, Scenario, Simulation, Telemetry,
+};
 use vanet_sim::SimDuration;
 
 /// The fixed scenario every protocol is pinned on: a 30-vehicle highway with
@@ -122,12 +124,107 @@ fn empty_fault_plan_is_byte_identical_for_every_protocol() {
     );
 }
 
-/// Prints the pin list for pasting into `PINS`. Run with `--ignored`.
+/// The dense-contention scenario: 400 vehicles on the 1.2 km city grid,
+/// where each frame's interference snapshot is far fuller than on the
+/// highway above, and collision losses outnumber deliveries. Data flows
+/// start after a 1 s warm-up, so the short run still routes packets.
+fn dense_scenario() -> Scenario {
+    let mut scenario = Scenario::urban(400)
+        .with_seed(11)
+        .with_flows(16)
+        .with_duration(SimDuration::from_secs(4.0));
+    scenario.warmup = SimDuration::from_secs(1.0);
+    scenario
+}
+
+/// The protocols pinned on [`dense_scenario`]: the broadcast storm, the
+/// on-demand route search and the two DTN summary-vector exchanges, which
+/// load the medium hardest.
+const DENSE_KINDS: [ProtocolKind; 4] = [
+    ProtocolKind::Flooding,
+    ProtocolKind::Aodv,
+    ProtocolKind::Epidemic,
+    ProtocolKind::Prophet,
+];
+
+/// Keeps the medium's final statistics of a run.
+#[derive(Default)]
+struct FinalMedium(MediumStats);
+
+impl Telemetry for FinalMedium {
+    fn on_finish(&mut self, _end: vanet_sim::SimTime, medium: &MediumStats) {
+        self.0 = medium.clone();
+    }
+}
+
+/// Runs `kind` on [`dense_scenario`]; returns the report fingerprint
+/// extended with the medium's counts, and the medium statistics.
+fn dense_run(kind: ProtocolKind) -> (String, MediumStats) {
+    let mut sim = Simulation::with_telemetry(dense_scenario(), kind, FinalMedium::default());
+    let report = sim.run();
+    let medium = sim.into_telemetry().0;
+    let pin = format!(
+        "{} tx={} rx={} coll={} prop={}",
+        fingerprint(&report),
+        medium.transmissions.value(),
+        medium.deliveries.value(),
+        medium.collision_losses.value(),
+        medium.propagation_losses.value()
+    );
+    (pin, medium)
+}
+
+/// Pinned dense-contention fingerprints, one per entry of [`DENSE_KINDS`],
+/// captured before the medium's interference count became a branch-free
+/// kernel over the structure-of-arrays snapshot.
+const DENSE_PINS: &[&str] = &[
+    "Flooding|sent=48 dlvd=43 dup=0 pdr=0.8958333333333334 delay=0.04369582198055537 maxdelay=0.1465675512255702 hops=5.953488372093022 ctrl=0 ctrlB=0 dtx=17504 rerr=0 drops=66098 nbr=23.501875000000048 tx=17504 rx=83861 coll=476278 prop=0",
+    "AODV|sent=48 dlvd=0 dup=0 pdr=0.0 delay=0.0 maxdelay=0.0 hops=0.0 ctrl=13308 ctrlB=671532 dtx=0 rerr=0 drops=43348 nbr=32.85500000000008 tx=13308 rx=92890 coll=334063 prop=0",
+    "Epidemic|sent=48 dlvd=0 dup=0 pdr=0.0 delay=0.0 maxdelay=0.0 hops=0.0 ctrl=3212 ctrlB=65564 dtx=222 rerr=0 drops=0 nbr=32.71937499999994 tx=3434 rx=54252 coll=55390 prop=0",
+    "PRoPHET|sent=48 dlvd=0 dup=0 pdr=0.0 delay=0.0 maxdelay=0.0 hops=0.0 ctrl=3205 ctrlB=1706896 dtx=12 rerr=0 drops=0 nbr=32.71937499999989 tx=3217 rx=53928 coll=49512 prop=0",
+];
+
+#[test]
+fn dense_contention_matches_its_pinned_reports() {
+    assert_eq!(
+        DENSE_PINS.len(),
+        DENSE_KINDS.len(),
+        "regenerate the dense pins"
+    );
+    let mut failures = Vec::new();
+    let (mut collisions, mut deliveries) = (0, 0);
+    for (kind, pin) in DENSE_KINDS.into_iter().zip(DENSE_PINS) {
+        let (got, medium) = dense_run(kind);
+        collisions += medium.collision_losses.value();
+        deliveries += medium.deliveries.value();
+        if got != *pin {
+            failures.push(format!("{kind:?}:\n  pinned: {pin}\n  got:    {got}"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "dense-contention reports diverged for {} protocol(s):\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    assert!(
+        collisions > deliveries,
+        "the dense scenario must be collision-dominated \
+         ({collisions} collision losses vs {deliveries} deliveries)"
+    );
+}
+
+/// Prints the pin lists for pasting into `PINS` and `DENSE_PINS`. Run with
+/// `--ignored`.
 #[test]
 #[ignore = "generator, not a check"]
 fn regenerate() {
     for kind in ProtocolKind::ALL {
         let report = run_scenario(golden_scenario(), kind);
         println!("    {:?},", fingerprint(&report));
+    }
+    println!();
+    for kind in DENSE_KINDS {
+        println!("    {:?},", dense_run(kind).0);
     }
 }

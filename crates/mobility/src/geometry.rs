@@ -226,6 +226,43 @@ impl WithinFilter {
         }
         distance(a, b) <= self.threshold
     }
+
+    /// How many of the points `(xs[i], ys[i])` are within the threshold of
+    /// `center` — equal to counting the points that pass [`check`], over the
+    /// pairs of the shorter slice.
+    ///
+    /// The loop has no branches: each squared distance (formed exactly as
+    /// [`Vec2::norm_sq`] forms it) adds `d2 <= accept_below` to one counter
+    /// and "neither fast path decides" — the band, and NaN — to another, so
+    /// the compiler can keep it in vector registers. Only when some point
+    /// falls in the band is the slice recounted with [`check`], which settles
+    /// it with the exact `hypot` comparison.
+    ///
+    /// [`check`]: WithinFilter::check
+    #[must_use]
+    pub fn count(&self, xs: &[f64], ys: &[f64], center: Position) -> usize {
+        if self.threshold < 0.0 {
+            return 0;
+        }
+        let mut inside = 0usize;
+        let mut band = 0usize;
+        for (&x, &y) in xs.iter().zip(ys) {
+            let dx = x - center.x;
+            let dy = y - center.y;
+            let d2 = dx * dx + dy * dy;
+            let accept = d2 <= self.accept_below;
+            let reject = d2 >= self.reject_above;
+            inside += usize::from(accept);
+            band += usize::from(!(accept | reject));
+        }
+        if band == 0 {
+            return inside;
+        }
+        xs.iter()
+            .zip(ys)
+            .filter(|&(&x, &y)| self.check(Vec2::new(x, y), center))
+            .count()
+    }
 }
 
 /// A compass-free heading: the direction of travel as a unit vector.
@@ -393,5 +430,116 @@ mod tests {
         assert!(within(a, a, 0.0));
         assert!(!within(a, b, 0.0));
         assert!(!within(a, b, -1.0));
+    }
+
+    /// The reference for [`WithinFilter::count`]: one `check` per point.
+    fn reference_count(filter: &WithinFilter, xs: &[f64], ys: &[f64], center: Vec2) -> usize {
+        xs.iter()
+            .zip(ys)
+            .filter(|&(&x, &y)| filter.check(Vec2::new(x, y), center))
+            .count()
+    }
+
+    fn assert_count_matches(threshold: f64, xs: &[f64], ys: &[f64], center: Vec2) {
+        let filter = WithinFilter::new(threshold);
+        assert_eq!(
+            filter.count(xs, ys, center),
+            reference_count(&filter, xs, ys, center),
+            "count diverged: threshold {threshold}, center {center:?}, xs {xs:?}, ys {ys:?}"
+        );
+    }
+
+    fn ulp_up(v: f64) -> f64 {
+        f64::from_bits(v.to_bits() + 1)
+    }
+
+    fn ulp_down(v: f64) -> f64 {
+        f64::from_bits(v.to_bits() - 1)
+    }
+
+    #[test]
+    fn count_agrees_with_a_check_based_reference() {
+        // Random point sets of random sizes around random centres (a Weyl
+        // sequence, as above).
+        let mut x = 0.25_f64;
+        let mut next = move || {
+            x = (x + std::f64::consts::FRAC_1_SQRT_2) % 1.0;
+            x
+        };
+        for _ in 0..2_000 {
+            let len = (next() * 40.0) as usize;
+            let xs: Vec<f64> = (0..len).map(|_| next() * 1_600.0 - 800.0).collect();
+            let ys: Vec<f64> = (0..len).map(|_| next() * 1_600.0 - 800.0).collect();
+            let center = Vec2::new(next() * 400.0 - 200.0, next() * 400.0 - 200.0);
+            assert_count_matches(next() * 700.0, &xs, &ys, center);
+        }
+
+        // Exactly at the threshold, 1 ulp inside and 1 ulp outside it: along
+        // an axis, and on an exact 3-4-5 diagonal with the threshold moved
+        // by 1 ulp either way.
+        for t in [250.0, 500.0, 0.1, 1e6] {
+            let xs = [t, ulp_down(t), ulp_up(t), -t, -ulp_up(t)];
+            assert_count_matches(t, &xs, &[0.0; 5], Vec2::ZERO);
+            assert_count_matches(t, &[0.0; 5], &xs, Vec2::ZERO);
+            assert_eq!(WithinFilter::new(t).count(&xs, &[0.0; 5], Vec2::ZERO), 3);
+        }
+        for k in [1.0, 64.0, 0.125] {
+            let (xs, ys) = ([3.0 * k, -3.0 * k], [4.0 * k, 4.0 * k]);
+            let center = Vec2::ZERO;
+            let t = 5.0 * k;
+            for threshold in [t, ulp_down(t), ulp_up(t)] {
+                assert_count_matches(threshold, &xs, &ys, center);
+            }
+            assert_eq!(WithinFilter::new(t).count(&xs, &ys, center), 2);
+            assert_eq!(WithinFilter::new(ulp_down(t)).count(&xs, &ys, center), 0);
+            // The same diagonal offset from a non-zero centre.
+            let center = Vec2::new(17.0, -4.0);
+            let xs = [center.x + 3.0 * k, center.x - 3.0 * k];
+            let ys = [center.y + 4.0 * k, center.y + 4.0 * k];
+            for threshold in [t, ulp_down(t), ulp_up(t)] {
+                assert_count_matches(threshold, &xs, &ys, center);
+            }
+        }
+
+        // Inside the relative 1e-9 band on both sides, mixed with points
+        // the fast paths decide.
+        let t = 300.0;
+        let xs = [
+            t * (1.0 - 4e-10),
+            t * (1.0 + 4e-10),
+            t * (1.0 - 1e-12),
+            t * (1.0 + 1e-12),
+            10.0,
+            1_000.0,
+        ];
+        assert_count_matches(t, &xs, &[0.0; 6], Vec2::ZERO);
+
+        // NaN and infinite coordinates, against finite and infinite
+        // thresholds.
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let xs = [nan, 1.0, nan, inf, nan, 3.0];
+        let ys = [0.0, nan, inf, 0.0, nan, 4.0];
+        for t in [5.0, 0.0, inf, nan] {
+            assert_count_matches(t, &xs, &ys, Vec2::ZERO);
+            assert_count_matches(t, &xs, &ys, Vec2::new(nan, 0.0));
+        }
+
+        // Negative thresholds count nothing, even a coincident point; a
+        // negative zero behaves as zero.
+        let xs = [0.0, 1.0, -1.0];
+        for t in [-1.0, -1e-300, -0.0, f64::NEG_INFINITY] {
+            assert_count_matches(t, &xs, &[0.0; 3], Vec2::ZERO);
+        }
+        assert_eq!(WithinFilter::new(-1.0).count(&xs, &[0.0; 3], Vec2::ZERO), 0);
+        assert_eq!(WithinFilter::new(-0.0).count(&xs, &[0.0; 3], Vec2::ZERO), 1);
+
+        // Empty and mismatched-length slices count over the shorter one.
+        let filter = WithinFilter::new(10.0);
+        assert_eq!(filter.count(&[], &[], Vec2::ZERO), 0);
+        assert_eq!(filter.count(&[1.0, 2.0, 3.0], &[], Vec2::ZERO), 0);
+        assert_eq!(filter.count(&[1.0, 2.0, 30.0], &[0.0, 0.0], Vec2::ZERO), 2);
+        assert_eq!(filter.count(&[1.0], &[0.0, 0.0, 0.0], Vec2::ZERO), 1);
+        assert_count_matches(10.0, &[1.0, 2.0, 30.0], &[0.0, 0.0], Vec2::ZERO);
+        assert_count_matches(10.0, &[30.0, 2.0], &[0.0, 0.0, 0.0], Vec2::ZERO);
     }
 }

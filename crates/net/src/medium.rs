@@ -5,6 +5,17 @@
 //! current positions of all nodes, it decides who receives a copy and when,
 //! applying the propagation model, the contention/collision model and — for
 //! unicast frames — the intended-receiver filter.
+//!
+//! The collision draw of every candidate receiver needs the number of
+//! in-window transmissions within interference range of it. Each
+//! transmission snapshots the relevant window once, as two dense coordinate
+//! arrays (`snapshot_xs`/`snapshot_ys`), and every count is one branch-free
+//! pass of [`WithinFilter::count`] over them. Its band rule keeps the counts
+//! exact: a squared distance at most `range²·(1 − 1e-9)` counts, one at
+//! least `range²·(1 + 1e-9)` does not, and if any entry lies between (or is
+//! NaN) the pass is redone with the per-point [`WithinFilter::check`], which
+//! settles those entries with `hypot`, so each count equals the number of
+//! entries with `distance(p, c) <= range`.
 
 // lint: hot-path
 
@@ -126,18 +137,6 @@ impl FaultZone {
     }
 }
 
-/// Number of `positions` within `range` of `center` (the interference count
-/// against a per-transmission snapshot of the contention window). Uses the
-/// banded squared-distance comparison — decision-identical to
-/// `distance(p, center) <= range` without the per-entry `hypot`.
-fn count_within(positions: &[Position], center: Position, range: f64) -> usize {
-    let filter = WithinFilter::new(range);
-    positions
-        .iter()
-        .filter(|&&p| filter.check(p, center))
-        .count()
-}
-
 /// A coarse uniform-grid index over recent transmissions.
 ///
 /// The interference pipeline needs "transmissions inside the contention
@@ -156,8 +155,9 @@ struct RecentIndex {
     cell_m: f64,
     // lint: allow(D1) — cells are read only by keyed 3×3-block lookup and
     // every query re-applies the exact time-window and distance predicates,
-    // so only counts (and predicate-filtered positions, gathered in the
-    // deterministic dx/dy block order) ever leave the map; pinned by
+    // so only counts (and predicate-filtered coordinates, gathered into the
+    // snapshot's `xs`/`ys` in the deterministic dx/dy block order, whose
+    // order no count depends on) ever leave the map; pinned by
     // `recent_index_counts_match_a_flat_scan`.
     cells: HashMap<(i64, i64), VecDeque<(SimTime, Position)>>,
 }
@@ -195,7 +195,7 @@ impl RecentIndex {
         cell.push_back((now, pos));
     }
 
-    /// Appends to `out` the positions of transmissions within `window`
+    /// Appends to `xs`/`ys` the coordinates of transmissions within `window`
     /// seconds before `now` and within `radius` of `center`.
     ///
     /// # Panics
@@ -208,7 +208,8 @@ impl RecentIndex {
         center: Position,
         window: f64,
         radius: f64,
-        out: &mut Vec<Position>,
+        xs: &mut Vec<f64>,
+        ys: &mut Vec<f64>,
     ) {
         assert!(
             radius <= self.cell_m,
@@ -228,7 +229,8 @@ impl RecentIndex {
                             break;
                         }
                         if filter.check(p, center) {
-                            out.push(p);
+                            xs.push(p.x);
+                            ys.push(p.y);
                         }
                     }
                 }
@@ -278,10 +280,15 @@ pub struct Medium {
     /// snapshot and to estimate channel load.
     recent: RecentIndex,
     /// Positions of the transmissions inside the contention window at the
-    /// time of the current frame — snapshotted once per transmission so the
-    /// per-receiver interference count is a scan of the (small) in-window
-    /// set instead of re-filtering the whole `recent` deque per candidate.
-    snapshot: Vec<Position>,
+    /// time of the current frame, as two dense coordinate arrays (entry `i`
+    /// is `(snapshot_xs[i], snapshot_ys[i])`). Snapshotted once per
+    /// transmission so each interference count is one pass of
+    /// [`WithinFilter::count`] over the in-window set: a branch-free scan of
+    /// contiguous `f64`s instead of a re-filter of the `recent` index per
+    /// candidate.
+    snapshot_xs: Vec<f64>,
+    /// The y coordinates of the snapshot; always as long as `snapshot_xs`.
+    snapshot_ys: Vec<f64>,
     /// Reusable buffer for spatial-grid candidate queries.
     candidates: Vec<(NodeId, Position)>,
     /// Scratch buffer for the grid query's run merge.
@@ -306,7 +313,9 @@ impl Medium {
             recent,
             // lint: allow(P1) — construction, once per simulation; these
             // buffers grow to steady-state size and are reused thereafter.
-            snapshot: Vec::new(),
+            snapshot_xs: Vec::new(),
+            // lint: allow(P1) — construction, once per simulation.
+            snapshot_ys: Vec::new(),
             // lint: allow(P1) — construction, once per simulation.
             candidates: Vec::new(),
             // lint: allow(P1) — construction, once per simulation.
@@ -363,7 +372,8 @@ impl Medium {
     pub fn reserve_for_neighborhood(&mut self, expected_candidates: usize) {
         self.candidates.reserve(expected_candidates);
         self.candidate_scratch.reserve(expected_candidates);
-        self.snapshot.reserve(expected_candidates);
+        self.snapshot_xs.reserve(expected_candidates);
+        self.snapshot_ys.reserve(expected_candidates);
     }
 
     /// The largest distance at which a recent transmission can matter to any
@@ -486,8 +496,9 @@ impl Medium {
     }
 
     /// Books the transmission into the contention window and the statistics,
-    /// and snapshots the in-window transmission positions (including this
-    /// frame's own) for the interference counts of the delivery pipeline.
+    /// and snapshots the in-window transmission coordinates (including this
+    /// frame's own) into `snapshot_xs`/`snapshot_ys` for the interference
+    /// counts of the delivery pipeline.
     ///
     /// The snapshot keeps only entries that could possibly interfere at this
     /// frame's sender or any of its receivers: every receiver lies within
@@ -505,9 +516,16 @@ impl Medium {
         self.stats.bytes_transmitted.add(packet.size_bytes() as u64);
         let window = self.config.mac.contention_window_s;
         let relevant = Self::relevant_range(self.propagation.as_ref());
-        self.snapshot.clear();
-        self.recent
-            .collect_window(now, sender_pos, window, relevant, &mut self.snapshot);
+        self.snapshot_xs.clear();
+        self.snapshot_ys.clear();
+        self.recent.collect_window(
+            now,
+            sender_pos,
+            window,
+            relevant,
+            &mut self.snapshot_xs,
+            &mut self.snapshot_ys,
+        );
     }
 
     /// Runs the propagation / contention / collision pipeline over the
@@ -523,19 +541,11 @@ impl Medium {
         rng: &mut SimRng,
         out: &mut Vec<Delivery>,
     ) {
-        let interference_range = self.propagation.nominal_range() * 2.0;
-        // The snapshot always contains this frame's own entry; when it is
-        // the only one, every interference count below is 0 after the
-        // self-discount, so the scans can be skipped outright (the RNG draws
-        // they feed still happen, so outcomes are identical).
-        let snapshot_trivial = self.snapshot.len() <= 1;
+        let interference = WithinFilter::new(self.propagation.nominal_range() * 2.0);
+        let (xs, ys) = (&self.snapshot_xs[..], &self.snapshot_ys[..]);
         // `begin_transmission` has already pushed this frame into the window
         // (and the snapshot), so discount it when counting contenders.
-        let contenders = if snapshot_trivial {
-            0
-        } else {
-            count_within(&self.snapshot, sender_pos, interference_range).saturating_sub(1)
-        };
+        let contenders = interference.count(xs, ys, sender_pos).saturating_sub(1);
         let backoff = self.config.mac.sample_backoff(contenders, rng);
         let tx_delay = self.config.mac.transmission_delay(packet.size_bytes());
         let processing = vanet_sim::SimDuration::from_secs(self.config.mac.processing_delay_s);
@@ -565,11 +575,7 @@ impl Medium {
                 self.stats.propagation_losses.incr();
                 continue;
             }
-            let interferers = if snapshot_trivial {
-                0
-            } else {
-                count_within(&self.snapshot, pos, interference_range).saturating_sub(1)
-            };
+            let interferers = interference.count(xs, ys, pos).saturating_sub(1);
             if !self.config.mac.sample_collision_survival(interferers, rng) {
                 self.stats.collision_losses.incr();
                 continue;
@@ -926,10 +932,11 @@ mod tests {
                     expected,
                     "case {case}: bucketed count diverged from the flat scan"
                 );
-                let mut collected = Vec::new();
-                index.collect_window(now, center, window, radius, &mut collected);
+                let (mut xs, mut ys) = (Vec::new(), Vec::new());
+                index.collect_window(now, center, window, radius, &mut xs, &mut ys);
+                assert_eq!(xs.len(), ys.len());
                 assert_eq!(
-                    collected.len(),
+                    xs.len(),
                     expected,
                     "case {case}: collected window size diverged from the flat scan"
                 );

@@ -53,7 +53,7 @@
 use std::process::ExitCode;
 use vanet_core::ProtocolKind;
 use vanet_runner::{
-    campaign_by_name, gate_events_per_sec, parse_scenario, protocol_by_name, render_bench_json,
+    campaign_by_name, gate_events_per_sec, parse_protocol, parse_scenario, render_bench_json,
     render_csv, render_fleet_bench_json, render_jsonl, render_table, run_analyze, run_fleet_bench,
     run_hotpath_bench, run_hotpath_bench_tapped, CampaignPlan, CampaignSpec, ReplicationPolicy,
     Runner, TelemetryEntry, TelemetryLog, TelemetrySettings, CATALOG,
@@ -347,9 +347,7 @@ fn build_plan(args: &Args) -> Result<CampaignPlan, String> {
         } else {
             args.protocols
                 .iter()
-                .map(|name| {
-                    protocol_by_name(name).ok_or_else(|| format!("unknown protocol {name:?}"))
-                })
+                .map(|name| parse_protocol(name))
                 .collect::<Result<Vec<_>, _>>()?
         };
         spec.protocols(protocols)
@@ -384,7 +382,7 @@ fn build_plan(args: &Args) -> Result<CampaignPlan, String> {
 fn bench_protocol(args: &Args) -> Result<ProtocolKind, String> {
     match args.protocols.first() {
         None => Ok(ProtocolKind::Greedy),
-        Some(name) => protocol_by_name(name).ok_or_else(|| format!("unknown protocol {name:?}")),
+        Some(name) => parse_protocol(name),
     }
 }
 

@@ -136,12 +136,29 @@ impl CampaignSpec {
     }
 }
 
-/// Parses a protocol by its display name (e.g. `"AODV"`, `"Greedy"`) or its
-/// enum-ish identifier (case-insensitive).
+/// Parses a protocol by its display name (e.g. `"AODV"`, `"Greedy"`), its
+/// enum-ish identifier, or the README's spelling `"Spray-and-Wait"` for
+/// `SprayWait` (all case-insensitive).
 #[must_use]
 pub fn protocol_by_name(name: &str) -> Option<ProtocolKind> {
+    if name.eq_ignore_ascii_case("Spray-and-Wait") {
+        return Some(ProtocolKind::SprayWait);
+    }
     ProtocolKind::ALL.into_iter().find(|p| {
         p.name().eq_ignore_ascii_case(name) || format!("{p:?}").eq_ignore_ascii_case(name)
+    })
+}
+
+/// [`protocol_by_name`], with an error for an unknown name that lists the
+/// accepted display names.
+///
+/// # Errors
+///
+/// Returns the message for the command line when `name` names no protocol.
+pub fn parse_protocol(name: &str) -> Result<ProtocolKind, String> {
+    protocol_by_name(name).ok_or_else(|| {
+        let names: Vec<&str> = ProtocolKind::ALL.iter().map(|p| p.name()).collect();
+        format!("unknown protocol {name:?} (accepted: {})", names.join(", "))
     })
 }
 
@@ -219,6 +236,20 @@ mod tests {
         assert_eq!(protocol_by_name("aodv"), Some(ProtocolKind::Aodv));
         assert_eq!(protocol_by_name("YanTbpss"), Some(ProtocolKind::YanTbpss));
         assert_eq!(protocol_by_name("nope"), None);
+        // The README's display name for protocol 20.
+        for spelling in ["Spray-and-Wait", "spray-and-wait", "SprayWait"] {
+            assert_eq!(
+                protocol_by_name(spelling),
+                Some(ProtocolKind::SprayWait),
+                "{spelling}"
+            );
+            assert_eq!(parse_protocol(spelling), Ok(ProtocolKind::SprayWait));
+        }
+        let err = parse_protocol("nope").unwrap_err();
+        assert!(err.starts_with("unknown protocol \"nope\""), "{err}");
+        for kind in ProtocolKind::ALL {
+            assert!(err.contains(kind.name()), "{err} lacks {}", kind.name());
+        }
     }
 
     #[test]

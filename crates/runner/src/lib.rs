@@ -75,7 +75,7 @@ pub use bench::{
     run_fleet_bench, run_hotpath_bench, run_hotpath_bench_tapped, BenchOutcome, BenchRun,
     FleetBenchOutcome, FleetRun,
 };
-pub use campaign::{protocol_by_name, CampaignSpec, Job};
+pub use campaign::{parse_protocol, protocol_by_name, CampaignSpec, Job};
 pub use catalog::{campaign_by_name, parse_scenario, CATALOG};
 pub use engine::{CampaignResults, CellSummary, QuarantinedJob, Runner, TelemetrySettings};
 pub use export::{

@@ -38,12 +38,13 @@ fn error(spec: &str, message: impl Into<String>) -> ScenarioParseError {
 }
 
 fn count(spec: &str, family: &str, raw: &str) -> Result<usize, ScenarioParseError> {
-    raw.parse().map_err(|_| {
-        error(
+    match raw.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(error(
             spec,
             format!("{family} vehicle count {raw:?} is not a positive integer"),
-        )
-    })
+        )),
+    }
 }
 
 /// Parses one fault-injection option (`fault=...`) into `plan`.
@@ -318,6 +319,15 @@ mod tests {
     fn errors_name_the_bad_field() {
         let err = parse("highway-").unwrap_err();
         assert!(err.message.contains("highway vehicle count"), "{err}");
+        for family in ["highway", "urban", "megacity", "disrupted"] {
+            let err = parse(&format!("{family}-0")).unwrap_err();
+            assert!(
+                err.message.contains(&format!(
+                    "{family} vehicle count \"0\" is not a positive integer"
+                )),
+                "{err}"
+            );
+        }
         let err = parse("moon-base").unwrap_err();
         assert!(err.message.contains("unknown scenario family"), "{err}");
         assert!(err.message.contains("moon-base"), "{err}");
