@@ -2,12 +2,10 @@
 //!
 //! Each `figN_*` function regenerates the data behind the corresponding
 //! figure of the paper; `table1` regenerates the category comparison. The
-//! binaries in `src/bin/` print the results, and the Criterion benches in
-//! `benches/` time the underlying models and run scaled-down versions of the
-//! same experiments so regressions in simulation cost are caught.
+//! binaries in `src/bin/` print the results.
 //!
 //! All generators accept a [`Effort`] knob: `Quick` keeps runs short enough
-//! for CI and Criterion; `Full` produces the numbers recorded in
+//! for CI; `Full` produces the numbers recorded in
 //! `EXPERIMENTS.md`.
 //!
 //! Every simulation-backed generator executes through the `vanet-runner`
@@ -15,7 +13,7 @@
 //! cores while staying byte-identical to a serial run; the per-cell
 //! [`vanet_runner::Summary`] statistics are available via the `*_campaign`
 //! variants, with the legacy mean-`Report` return types kept for the
-//! binaries and Criterion benches.
+//! binaries.
 
 #![warn(missing_docs)]
 
@@ -32,7 +30,7 @@ use vanet_sim::SimDuration;
 /// How much work an experiment generator should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
-    /// Short runs: suitable for CI and Criterion iterations.
+    /// Short runs: suitable for CI.
     Quick,
     /// The full runs recorded in EXPERIMENTS.md.
     Full,

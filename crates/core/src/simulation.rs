@@ -494,8 +494,8 @@ impl<T: Telemetry> Simulation<T> {
         self.nodes.len()
     }
 
-    /// Number of scheduler events processed so far (the denominator of the
-    /// events/sec throughput metric reported by `vanet-campaign --bench`).
+    /// Number of scheduler events processed so far (the workspace
+    /// benchmark's like-with-like guard and events/sec denominator).
     #[must_use]
     pub fn processed_events(&self) -> u64 {
         self.scheduler.processed_events()

@@ -9,7 +9,8 @@
 //! over its tap ([`Simulation<T: Telemetry>`](crate::Simulation)), every
 //! hook has an empty inline default, and the [`NoTelemetry`] instantiation
 //! monomorphises to exactly the pre-telemetry code. The golden reports for
-//! all 21 protocols and the `--bench-gate` perf smoke pin that down.
+//! all 21 protocols pin the behaviour down, and the workspace benchmark's
+//! untapped `megacity-beacons` workload bounds the cost.
 //!
 //! [`WindowedTap`] is the shipped implementation: it accumulates the hooks
 //! into preallocated fixed-interval [`WindowRecord`] counters (sealed by a
@@ -295,6 +296,14 @@ impl WindowedTap {
         &self.regions
     }
 
+    /// How many window records a tap of width `window` reserves for a run
+    /// of `duration`: every full window plus the partial one sealed at the
+    /// horizon. In `f64`, so that an absurd ratio cannot overflow.
+    #[must_use]
+    pub fn expected_windows(window: SimDuration, duration: SimDuration) -> f64 {
+        (duration.as_secs() / window.as_secs()).ceil() + 1.0
+    }
+
     fn region_of(&self, pos: Position) -> usize {
         let r = self.regions_per_axis;
         let clamp = |v: f64| -> usize { (v.max(0.0) as usize).min(r - 1) };
@@ -370,8 +379,8 @@ impl Telemetry for WindowedTap {
         self.origin = bounds_min;
         self.inv_cell_w = r / width;
         self.inv_cell_h = r / height;
-        let expected = (duration.as_secs() / self.window_secs()).ceil() as usize + 1;
-        self.windows.reserve(expected);
+        let expected = Self::expected_windows(self.clock.width(), duration);
+        self.windows.reserve(expected as usize);
         self.regions = vec![RegionRecord::default(); self.regions_per_axis * self.regions_per_axis];
     }
 

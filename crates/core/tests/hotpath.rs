@@ -1,6 +1,7 @@
 //! Stress-tier checks for the zero-allocation event hot path: a 10k-vehicle
 //! megacity smoke run (bounded wall-clock, pinned deterministic report) and
-//! the determinism of the batched-beacon scheduler at scale.
+//! the determinism of the batched-beacon scheduler at scale, plus an ignored
+//! 1M-vehicle tier whose event count is pinned.
 
 use std::time::Instant;
 use vanet_core::{ProtocolKind, Report, Scenario, Simulation};
@@ -70,4 +71,21 @@ fn megacity_second() -> Scenario {
 fn regenerate() {
     let report = Simulation::new(megacity_second(), ProtocolKind::Greedy).run();
     println!("PIN: {:?}", fingerprint(&report));
+}
+
+/// One simulated second of the 1 000 000-vehicle megacity under Greedy: the
+/// whole 1M build (arena slab, SoA kinematics, calendar tier, pre-sized
+/// grid) must complete, and its event count is pinned. About 4.3 GiB peak
+/// RSS and over a minute in a release build, so it is ignored by default.
+///
+/// Run with:
+/// `cargo test --release -p vanet-core --test hotpath -- --ignored megacity_1m`
+#[test]
+#[ignore = "1M vehicles: about 4.3 GiB and over a minute in release"]
+fn megacity_1m_second_completes_with_pinned_event_count() {
+    let scenario = Scenario::megacity(1_000_000).with_duration(SimDuration::from_secs(1.0));
+    let mut sim = Simulation::new(scenario, ProtocolKind::Greedy);
+    assert_eq!(sim.node_count(), 1_000_000);
+    sim.run();
+    assert_eq!(sim.processed_events(), 43_573_949);
 }

@@ -6,12 +6,11 @@
 //! agree in sign, which is the predicate Taleb- and Abedi-style protocols use
 //! to prefer long-lived links.
 
-use serde::{Deserialize, Serialize};
 use vanet_mobility::{Position, Vec2, Velocity};
 
 /// The projections of both velocities onto the inter-vehicle axis (horizontal)
 /// and its normal (vertical), as drawn in Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProjectedVelocities {
     /// Horizontal (along the a→b axis) projection of vehicle a's velocity.
     pub a_horizontal: f64,
@@ -84,7 +83,7 @@ pub fn same_direction(pos_a: Position, vel_a: Velocity, pos_b: Position, vel_b: 
 /// Taleb-style velocity-vector grouping: vehicles are partitioned into four
 /// groups according to the quadrant of their velocity vector; vehicles in the
 /// same group are expected to keep their links longer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DirectionGroup {
     /// Velocity angle in `[−45°, 45°)` — roughly eastbound.
     East,

@@ -5,10 +5,8 @@
 //! probability metrics, the reliability of a path is the product of the
 //! per-link reliabilities (links fail independently).
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregated metrics of a candidate routing path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PathMetrics {
     /// Number of hops (links) in the path.
     pub hops: usize,

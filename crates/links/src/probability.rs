@@ -14,13 +14,12 @@
 //! * [`receipt_probability`] — REAR's receipt probability from the log-normal
 //!   shadowing signal-strength model.
 
-use serde::{Deserialize, Serialize};
 use vanet_mobility::distributions::{std_normal_cdf, Normal};
 
 /// A probabilistic model of one link's remaining duration, built from the
 /// mobility information a node has about a neighbour (relative speed mean and
 /// standard deviation, current gap to the range boundary).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkDurationModel {
     /// Mean relative speed along the link axis, m/s (signed: positive means
     /// the vehicles are separating towards the break boundary).

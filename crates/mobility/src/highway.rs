@@ -12,11 +12,10 @@ use crate::distributions::{Sampler, TruncatedNormal};
 use crate::geometry::{Heading, Position, Vec2};
 use crate::model::{MobilityModel, RegionBounds};
 use crate::vehicle::{VehicleKind, VehicleState};
-use serde::{Deserialize, Serialize};
 use vanet_sim::{NodeId, SimDuration, SimRng};
 
 /// Configuration and builder for a [`HighwayModel`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HighwayBuilder {
     length_m: f64,
     lanes_per_direction: usize,
@@ -32,7 +31,6 @@ pub struct HighwayBuilder {
     /// historical behaviour (westbound vehicles report a westward velocity
     /// vector but advance in `s` like everyone else) is baked into every
     /// pinned golden report, so real counterflow is strictly opt-in.
-    #[serde(default)]
     counterflow: bool,
     idm: IdmParams,
     lane_change_enabled: bool,
@@ -217,7 +215,7 @@ impl HighwayBuilder {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct HighwayVehicle {
     id: NodeId,
     kind: VehicleKind,
@@ -231,7 +229,7 @@ struct HighwayVehicle {
 }
 
 /// A multi-lane (optionally bidirectional) ring highway.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HighwayModel {
     config: HighwayBuilder,
     vehicles: Vec<HighwayVehicle>,

@@ -2,11 +2,10 @@
 
 use crate::geometry::Position;
 use crate::vehicle::VehicleState;
-use serde::{Deserialize, Serialize};
 use vanet_sim::{NodeId, SimDuration, SimRng};
 
 /// Axis-aligned bounding box of the simulated region, in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RegionBounds {
     /// Minimum corner.
     pub min: Position,

@@ -11,11 +11,10 @@ use crate::geometry::{Heading, Position, Vec2};
 use crate::model::{MobilityModel, RegionBounds};
 use crate::road::RoadNetwork;
 use crate::vehicle::{VehicleKind, VehicleState};
-use serde::{Deserialize, Serialize};
 use vanet_sim::{NodeId, SimDuration, SimRng};
 
 /// Configuration and builder for an [`UrbanGridModel`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UrbanGridBuilder {
     blocks_x: usize,
     blocks_y: usize,
@@ -191,7 +190,7 @@ impl UrbanGridBuilder {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct UrbanVehicle {
     id: NodeId,
     kind: VehicleKind,
@@ -202,7 +201,7 @@ struct UrbanVehicle {
 }
 
 /// Vehicles moving on a Manhattan street grid with random turns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UrbanGridModel {
     config: UrbanGridBuilder,
     vehicles: Vec<UrbanVehicle>,

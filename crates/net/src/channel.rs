@@ -11,7 +11,6 @@
 //! * [`LogNormalShadowing`] — power-law decay plus log-normal fading, yielding
 //!   a smooth reception-probability curve (the REAR receipt-probability model).
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 use vanet_mobility::distributions::std_normal_cdf;
 use vanet_sim::SimRng;
@@ -40,7 +39,7 @@ pub trait PropagationModel: Debug {
 }
 
 /// Deterministic unit-disk model: received iff within `range` metres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitDisk {
     range_m: f64,
 }
@@ -82,7 +81,7 @@ impl PropagationModel for UnitDisk {
 /// received power is above the threshold corresponding to `nominal_range`.
 /// With no fading this behaves like a unit disk, but it exposes the received
 /// power for the REAR-style signal-strength heuristics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreeSpacePathLoss {
     nominal_range_m: f64,
     path_loss_exponent: f64,
@@ -147,7 +146,7 @@ impl PropagationModel for FreeSpacePathLoss {
 /// `P[X > Pth]` where `X ~ N(P(d), sigma²)`, i.e.
 /// `Q((Pth − P(d)) / sigma)` — the standard log-normal link model the REAR
 /// protocol computes its receipt probability from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormalShadowing {
     mean: FreeSpacePathLoss,
     sigma_db: f64,

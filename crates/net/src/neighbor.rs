@@ -33,13 +33,12 @@
 //! the reference implementation; a property test pins the two to identical
 //! loss observations.
 
-use serde::{Deserialize, Serialize};
 use vanet_mobility::geometry::distance;
 use vanet_mobility::{Position, Velocity};
 use vanet_sim::{NodeId, SimDuration, SimTime};
 
 /// Beaconing configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeaconConfig {
     /// Interval between HELLO beacons.
     pub interval: SimDuration,
@@ -61,7 +60,7 @@ impl Default for BeaconConfig {
 }
 
 /// What a node knows about one of its neighbours.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighborInfo {
     /// The neighbour's id.
     pub id: NodeId,
@@ -97,7 +96,7 @@ const INLINE_KEYS: usize = 104;
 /// after the scalar header fields: the hot lookup then walks cache lines
 /// adjacent to the one the table header itself occupies, instead of
 /// dereferencing into a separately-allocated key vector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 #[repr(C)]
 pub struct NeighborTable {
     /// Entries sorted ascending by [`NodeId`].

@@ -44,7 +44,6 @@ pub use prophet::Prophet;
 pub use spray::SprayAndWait;
 
 use crate::protocol::{BundleOp, DropReason, ProtocolContext};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use vanet_net::{Packet, PacketKind};
 use vanet_sim::{NodeId, SimDuration};
@@ -54,7 +53,7 @@ use vanet_sim::{NodeId, SimDuration};
 ///
 /// The default values leave the 17 connected-path protocols untouched: a
 /// protocol that never buffers a bundle never reads them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtnParams {
     /// Per-node bundle-buffer capacity.
     pub buffer_capacity: usize,

@@ -1,9 +1,9 @@
 //! `vanet-campaign analyze` — verdicts from campaign artifacts.
 //!
-//! A campaign directory accumulates three kinds of evidence: per-seed
-//! reports in `journal.jsonl`, windowed telemetry in `telemetry.jsonl`, and
-//! committed `BENCH_*.json` perf trajectories. This module reads them back
-//! and turns them into conclusions instead of raw numbers:
+//! A campaign directory accumulates two kinds of evidence: per-seed
+//! reports in `journal.jsonl` and windowed telemetry in `telemetry.jsonl`.
+//! This module reads them back and turns them into conclusions instead of
+//! raw numbers:
 //!
 //! * **significance** (`--journal DIR`): groups the journal's per-seed
 //!   reports by cell label and runs pairwise Welch's t-tests on a chosen
@@ -13,33 +13,16 @@
 //! * **time series** (`--timeseries DIR`): projects `telemetry.jsonl` into
 //!   the workspace's CSV conventions, one row per (job, window), so the
 //!   *when* of a delivery-ratio collapse is plottable; `--regions DIR`
-//!   exports the spatial aggregates the same way;
-//! * **bench trend** (`--bench-trend FILE...`): generalises the
-//!   `--bench-gate` check from "one fresh measurement vs one file" to a
-//!   committed trajectory — each file's baseline→current ratio is checked
-//!   against `--gate-ratio`, and across files the current rates are chained
-//!   into a trajectory verdict.
+//!   exports the spatial aggregates the same way.
 //!
 //! Everything here is read-only over artifacts the runner already writes;
 //! the analysis can run long after the campaign, on another machine.
 
-use crate::bench::{json_number, json_number_array, json_string};
 use crate::journal::{self, JOURNAL_FILE};
 use crate::summary::{t_critical_95, SummaryStat, METRIC_NAMES};
 use crate::telemetry::{self, TELEMETRY_FILE};
 use std::path::Path;
 use vanet_core::Report;
-
-/// The outcome of an `analyze` invocation: the rendered report plus how
-/// many checks failed (bench regressions), so the CLI can exit non-zero.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzeReport {
-    /// Human-readable analysis, table/CSV conventions matching the rest of
-    /// the workspace.
-    pub text: String,
-    /// Number of failed checks (0 = clean).
-    pub regressions: usize,
-}
 
 /// Reads one of [`METRIC_NAMES`] off a single report.
 #[must_use]
@@ -364,135 +347,6 @@ fn regions_csv(dir: &Path) -> Result<String, String> {
     Ok(out)
 }
 
-/// One bench file's trajectory reading.
-fn bench_rates(text: &str) -> (Option<f64>, Option<f64>) {
-    let mean = |label: &str| -> Option<f64> {
-        let per_core = json_number_array(text, &format!("{label}_per_core_events_per_sec"))?;
-        if per_core.is_empty() {
-            None
-        } else {
-            Some(per_core.iter().sum::<f64>() / per_core.len() as f64)
-        }
-    };
-    let baseline = json_number(text, "baseline_events_per_sec").or_else(|| mean("baseline"));
-    let current = json_number(text, "current_events_per_sec").or_else(|| mean("current"));
-    (baseline, current)
-}
-
-/// One bench file's peak-RSS reading (`baseline_peak_rss_bytes`,
-/// `current_peak_rss_bytes`).
-fn bench_rss(text: &str) -> (Option<f64>, Option<f64>) {
-    (
-        json_number(text, "baseline_peak_rss_bytes"),
-        json_number(text, "current_peak_rss_bytes"),
-    )
-}
-
-fn bench_trend_report(
-    files: &[String],
-    gate_ratio: f64,
-    rss_gate_ratio: f64,
-) -> Result<(String, usize), String> {
-    let mut out = format!(
-        "bench trend: {} file(s), gate ratio {gate_ratio:.2}, rss gate ratio {rss_gate_ratio:.2}\n",
-        files.len()
-    );
-    let mut regressions = 0;
-    let mut trajectory: Vec<(String, String, f64)> = Vec::new();
-    for file in files {
-        let text = std::fs::read_to_string(file)
-            .map_err(|error| format!("cannot read {file}: {error}"))?;
-        let workload = format!(
-            "{}/{}",
-            json_string(&text, "scenario").unwrap_or_else(|| "?".to_owned()),
-            json_string(&text, "protocol").unwrap_or_else(|| "?".to_owned()),
-        );
-        let (baseline, current) = bench_rates(&text);
-        let line = match (baseline, current) {
-            (Some(b), Some(c)) if b > 0.0 => {
-                let ratio = c / b;
-                let verdict = if ratio < gate_ratio {
-                    regressions += 1;
-                    "REGRESSED"
-                } else {
-                    "OK"
-                };
-                format!(
-                    "{file} [{workload}]: baseline {b:.0} ev/s, current {c:.0} ev/s, \
-                     ratio {ratio:.2} -> {verdict}\n"
-                )
-            }
-            (None, Some(c)) | (Some(c), None) => {
-                format!("{file} [{workload}]: single measurement {c:.0} ev/s, no trend\n")
-            }
-            _ => {
-                return Err(format!(
-                    "{file} holds no events/sec measurement (malformed or not a BENCH_*.json \
-                     written by --bench/--bench-fleet?)"
-                ))
-            }
-        };
-        out.push_str(&line);
-        // Throughput wins that come from trading away memory are not wins at
-        // megacity scale: peak RSS is gated alongside events/sec, in the
-        // opposite direction (a *rise* past the ratio regresses).
-        if let (Some(rb), Some(rc)) = bench_rss(&text) {
-            if rb > 0.0 {
-                let ratio = rc / rb;
-                let verdict = if ratio > rss_gate_ratio {
-                    regressions += 1;
-                    "RSS-REGRESSED"
-                } else {
-                    "OK"
-                };
-                out.push_str(&format!(
-                    "{file} [{workload}]: peak RSS baseline {:.1} MiB, current {:.1} MiB, \
-                     ratio {ratio:.2} -> {verdict}\n",
-                    rb / (1024.0 * 1024.0),
-                    rc / (1024.0 * 1024.0),
-                ));
-            }
-        }
-        if let Some(c) = current.or(baseline) {
-            trajectory.push((file.clone(), workload, c));
-        }
-    }
-    // Chain current rates across files into a trajectory verdict — but only
-    // within a workload: events/sec at megacity-10k and megacity-1M are
-    // different units, and chaining them would flag the scale-up itself as
-    // a regression.
-    let mut seen: Vec<&str> = Vec::new();
-    for (_, workload, _) in &trajectory {
-        if seen.contains(&workload.as_str()) {
-            continue;
-        }
-        seen.push(workload);
-        let same: Vec<&(String, String, f64)> = trajectory
-            .iter()
-            .filter(|(_, w, _)| w == workload)
-            .collect();
-        if same.len() < 2 {
-            continue;
-        }
-        let (first_file, _, first) = same[0];
-        let (last_file, _, last) = same[same.len() - 1];
-        if *first > 0.0 {
-            let ratio = last / first;
-            let verdict = if ratio < gate_ratio {
-                regressions += 1;
-                "REGRESSED"
-            } else {
-                "OK"
-            };
-            out.push_str(&format!(
-                "trajectory [{workload}] {first_file} -> {last_file}: \
-                 ratio {ratio:.2} -> {verdict}\n"
-            ));
-        }
-    }
-    Ok((out, regressions))
-}
-
 const USAGE: &str = "\
 vanet-campaign analyze — verdicts from campaign artifacts
 
@@ -501,27 +355,18 @@ vanet-campaign analyze — verdicts from campaign artifacts
                                           (default metric: delivery_ratio)
   analyze --timeseries DIR                windowed telemetry as CSV
   analyze --regions DIR                   per-region telemetry as CSV
-  analyze --bench-trend FILE [FILE...]    baseline->current regression check
-          [--gate-ratio R]                per file and across files
-                                          (default gate: 0.9)
-          [--rss-gate-ratio R]            fail when current peak RSS exceeds
-                                          baseline by more than R
-                                          (default: 1.5)
 
 Modes compose: each requested section is appended to the output.";
 
 /// Runs the `analyze` subcommand over its argument list (everything after
 /// the literal `analyze`). Returns the rendered report or a usage/IO error.
-pub fn run_analyze(args: &[String]) -> Result<AnalyzeReport, String> {
+pub fn run_analyze(args: &[String]) -> Result<String, String> {
     let mut journal_dir: Option<String> = None;
     let mut timeseries_dir: Option<String> = None;
     let mut regions_dir: Option<String> = None;
-    let mut bench_files: Vec<String> = Vec::new();
     let mut metric = "delivery_ratio".to_owned();
-    let mut gate_ratio = 0.9_f64;
-    let mut rss_gate_ratio = 1.5_f64;
 
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let mut value = |name: &str| -> Result<String, String> {
             iter.next()
@@ -533,33 +378,7 @@ pub fn run_analyze(args: &[String]) -> Result<AnalyzeReport, String> {
             "--timeseries" => timeseries_dir = Some(value("--timeseries")?),
             "--regions" => regions_dir = Some(value("--regions")?),
             "--metric" => metric = value("--metric")?,
-            "--gate-ratio" => {
-                let raw = value("--gate-ratio")?;
-                gate_ratio = raw
-                    .parse()
-                    .map_err(|_| format!("--gate-ratio needs a number, got {raw:?}"))?;
-            }
-            "--rss-gate-ratio" => {
-                let raw = value("--rss-gate-ratio")?;
-                rss_gate_ratio = raw
-                    .parse()
-                    .map_err(|_| format!("--rss-gate-ratio needs a number, got {raw:?}"))?;
-            }
-            "--bench-trend" => {
-                bench_files.push(value("--bench-trend")?);
-                while let Some(next) = iter.peek() {
-                    if next.starts_with("--") {
-                        break;
-                    }
-                    bench_files.push(iter.next().cloned().expect("peeked"));
-                }
-            }
-            "--help" | "-h" => {
-                return Ok(AnalyzeReport {
-                    text: USAGE.to_owned(),
-                    regressions: 0,
-                })
-            }
+            "--help" | "-h" => return Ok(USAGE.to_owned()),
             other => return Err(format!("unknown analyze flag {other:?}\n\n{USAGE}")),
         }
     }
@@ -568,7 +387,6 @@ pub fn run_analyze(args: &[String]) -> Result<AnalyzeReport, String> {
     }
 
     let mut sections: Vec<String> = Vec::new();
-    let mut regressions = 0;
     if let Some(dir) = &journal_dir {
         sections.push(significance_report(Path::new(dir), &metric)?);
     }
@@ -578,18 +396,10 @@ pub fn run_analyze(args: &[String]) -> Result<AnalyzeReport, String> {
     if let Some(dir) = &regions_dir {
         sections.push(regions_csv(Path::new(dir))?);
     }
-    if !bench_files.is_empty() {
-        let (text, failed) = bench_trend_report(&bench_files, gate_ratio, rss_gate_ratio)?;
-        sections.push(text);
-        regressions += failed;
-    }
     if sections.is_empty() {
         return Err(format!("nothing to analyze\n\n{USAGE}"));
     }
-    Ok(AnalyzeReport {
-        text: sections.join("\n"),
-        regressions,
-    })
+    Ok(sections.join("\n"))
 }
 
 #[cfg(test)]
@@ -647,68 +457,7 @@ mod tests {
         assert!(run_analyze(&argv(&["--journal", "/nonexistent", "--metric", "nope"])).is_err());
         assert!(run_analyze(&argv(&[])).is_err());
         let help = run_analyze(&argv(&["--help"])).unwrap();
-        assert!(help.text.contains("analyze"));
-    }
-
-    #[test]
-    fn bench_trend_reads_hotpath_and_fleet_shapes() {
-        let dir = std::env::temp_dir().join(format!("vanet-analysis-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let ok = dir.join("BENCH_ok.json");
-        std::fs::write(
-            &ok,
-            "{\n  \"scenario\": \"megacity-10000\",\n  \"protocol\": \"Greedy\",\n  \
-             \"duration_s\": 20,\n  \"baseline_events_per_sec\": 100000,\n  \
-             \"current_events_per_sec\": 105000\n}\n",
-        )
-        .unwrap();
-        let bad = dir.join("BENCH_bad.json");
-        std::fs::write(
-            &bad,
-            "{\n  \"scenario\": \"megacity-10000\",\n  \"protocol\": \"Greedy\",\n  \
-             \"duration_s\": 20,\n  \"baseline_events_per_sec\": 100000,\n  \
-             \"current_events_per_sec\": 50000\n}\n",
-        )
-        .unwrap();
-        let argv: Vec<String> = vec![
-            "--bench-trend".to_owned(),
-            ok.display().to_string(),
-            bad.display().to_string(),
-        ];
-        let report = run_analyze(&argv).unwrap();
-        assert!(report.text.contains("ratio 1.05 -> OK"));
-        assert!(report.text.contains("ratio 0.50 -> REGRESSED"));
-        assert!(
-            report.text.contains("trajectory"),
-            "two files chain into a trajectory: {}",
-            report.text
-        );
-        // File regression + trajectory regression (105k -> 50k).
-        assert_eq!(report.regressions, 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_trend_missing_or_malformed_files_error_cleanly() {
-        let missing = run_analyze(&[
-            "--bench-trend".to_owned(),
-            "/nonexistent/BENCH_gone.json".to_owned(),
-        ]);
-        let message = missing.unwrap_err();
-        assert!(message.contains("cannot read"), "{message}");
-        assert!(message.contains("BENCH_gone.json"), "{message}");
-
-        let dir = std::env::temp_dir().join(format!("vanet-trend-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let garbage = dir.join("BENCH_garbage.json");
-        std::fs::write(&garbage, "this is not json at all {{{").unwrap();
-        let malformed = run_analyze(&["--bench-trend".to_owned(), garbage.display().to_string()]);
-        let message = malformed.unwrap_err();
-        assert!(
-            message.contains("holds no events/sec measurement"),
-            "{message}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(help.contains("analyze"));
     }
 
     #[test]
@@ -743,14 +492,9 @@ mod tests {
         ];
         std::fs::write(dir.join(JOURNAL_FILE), format!("{}\n", lines.join("\n"))).unwrap();
         let report = run_analyze(&["--journal".to_owned(), dir.display().to_string()]).unwrap();
-        assert!(
-            report.text.contains("quarantined: 1 job(s)"),
-            "{}",
-            report.text
-        );
-        assert!(report.text.contains("bad (seed 12): 2 attempt(s)"));
-        assert!(report.text.contains("poison fault fired"));
-        assert_eq!(report.regressions, 0, "quarantine is reported, not gated");
+        assert!(report.contains("quarantined: 1 job(s)"), "{}", report);
+        assert!(report.contains("bad (seed 12): 2 attempt(s)"));
+        assert!(report.contains("poison fault fired"));
 
         // A journal holding only quarantines still renders (no groups).
         std::fs::write(
@@ -759,117 +503,8 @@ mod tests {
         )
         .unwrap();
         let only = run_analyze(&["--journal".to_owned(), dir.display().to_string()]).unwrap();
-        assert!(only.text.contains("0 group(s)"), "{}", only.text);
-        assert!(only.text.contains("quarantined: 1 job(s)"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_trend_gates_peak_rss() {
-        let dir = std::env::temp_dir().join(format!("vanet-rss-gate-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // Throughput improves, but peak RSS doubles: the default 1.5 RSS
-        // gate must flag it even though the events/sec gate passes.
-        let bloated = dir.join("BENCH_bloated.json");
-        std::fs::write(
-            &bloated,
-            "{\n  \"scenario\": \"megacity-10000\",\n  \"protocol\": \"Greedy\",\n  \
-             \"baseline_events_per_sec\": 100000,\n  \
-             \"current_events_per_sec\": 120000,\n  \
-             \"baseline_peak_rss_bytes\": 104857600,\n  \
-             \"current_peak_rss_bytes\": 209715200\n}\n",
-        )
-        .unwrap();
-        let argv = |extra: &[&str]| -> Vec<String> {
-            let mut v = vec!["--bench-trend".to_owned(), bloated.display().to_string()];
-            v.extend(extra.iter().map(|s| (*s).to_owned()));
-            v
-        };
-
-        let report = run_analyze(&argv(&[])).unwrap();
-        assert!(report.text.contains("ratio 1.20 -> OK"));
-        assert!(
-            report
-                .text
-                .contains("peak RSS baseline 100.0 MiB, current 200.0 MiB"),
-            "RSS line missing: {}",
-            report.text
-        );
-        assert!(report.text.contains("ratio 2.00 -> RSS-REGRESSED"));
-        assert_eq!(report.regressions, 1);
-
-        // A loose gate lets the same file through.
-        let loose = run_analyze(&argv(&["--rss-gate-ratio", "2.5"])).unwrap();
-        assert!(loose.text.contains("ratio 2.00 -> OK"));
-        assert_eq!(loose.regressions, 0);
-
-        // Files without RSS fields simply skip the RSS check.
-        let bare = dir.join("BENCH_bare.json");
-        std::fs::write(
-            &bare,
-            "{\n  \"scenario\": \"megacity-10000\",\n  \"protocol\": \"Greedy\",\n  \
-             \"baseline_events_per_sec\": 100000,\n  \
-             \"current_events_per_sec\": 100000\n}\n",
-        )
-        .unwrap();
-        let none = run_analyze(&["--bench-trend".to_owned(), bare.display().to_string()]).unwrap();
-        assert!(!none.text.contains("peak RSS"));
-        assert_eq!(none.regressions, 0);
-
-        // Malformed ratios are rejected up front.
-        assert!(run_analyze(&argv(&["--rss-gate-ratio", "fast"])).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_trend_chains_only_matching_workloads() {
-        let dir = std::env::temp_dir().join(format!("vanet-trend-mix-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let write = |name: &str, scenario: &str, current: u64| {
-            let path = dir.join(name);
-            std::fs::write(
-                &path,
-                format!(
-                    "{{\n  \"scenario\": \"{scenario}\",\n  \"protocol\": \"Greedy\",\n  \
-                     \"baseline_events_per_sec\": {current},\n  \
-                     \"current_events_per_sec\": {current}\n}}\n"
-                ),
-            )
-            .unwrap();
-            path.display().to_string()
-        };
-        // A 10k file followed by a 1M file: events/sec at different scales
-        // are different units, so no trajectory line may chain them even
-        // though the ratio (0.33) would trip the gate.
-        let small = write("BENCH_small.json", "megacity-10000", 1_200_000);
-        let big = write("BENCH_big.json", "megacity-1000000", 400_000);
-        let mixed = run_analyze(&["--bench-trend".to_owned(), small.clone(), big.clone()]).unwrap();
-        assert!(
-            !mixed.text.contains("trajectory"),
-            "mixed workloads must not chain: {}",
-            mixed.text
-        );
-        assert_eq!(mixed.regressions, 0);
-
-        // Two files of the same workload interleaved with the other scale
-        // still chain (and here, regress).
-        let small2 = write("BENCH_small2.json", "megacity-10000", 600_000);
-        let argv = vec![
-            "--bench-trend".to_owned(),
-            small.clone(),
-            big,
-            small2.clone(),
-        ];
-        let chained = run_analyze(&argv).unwrap();
-        assert!(
-            chained.text.contains(&format!(
-                "trajectory [megacity-10000/Greedy] {small} -> {small2}"
-            )),
-            "same-workload chain missing: {}",
-            chained.text
-        );
-        assert!(chained.text.contains("ratio 0.50 -> REGRESSED"));
-        assert_eq!(chained.regressions, 1);
+        assert!(only.contains("0 group(s)"), "{}", only);
+        assert!(only.contains("quarantined: 1 job(s)"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

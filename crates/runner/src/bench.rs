@@ -1,55 +1,8 @@
-//! Throughput benchmarks (`vanet-campaign --bench` / `--bench-fleet`).
+//! Process measurements for benchmarks.
 //!
-//! `--bench` runs one megacity-scale simulation single-threaded, measures
-//! scheduler throughput (events/sec) and peak RSS, and merges the result
-//! into a small flat JSON file (`BENCH_hotpath.json` by default). The file
-//! holds two labelled measurements — `baseline` (committed before a perf
-//! change) and `current` (the state under test) — plus their speedup, giving
-//! every PR a recorded perf trajectory.
-//!
-//! `--bench-fleet` measures *capacity* instead of per-core latency: one
-//! independent simulation per core (sharded over the workspace worker pool),
-//! reporting aggregate events/sec across cores, per-core events/sec, and the
-//! process-wide peak RSS (`BENCH_fleet.json`). The same baseline/current
-//! labelling applies; the two files together answer "how fast is one core"
-//! and "how much fleet can this box simulate".
-//!
-//! [`gate_events_per_sec`] turns a committed bench file into a CI regression
-//! gate: a fresh measurement failing to reach a fraction of the committed
-//! events/sec fails the job instead of silently uploading a slower artifact.
-
-use std::time::Instant;
-use vanet_core::{ProtocolKind, Report, Scenario, Simulation};
-use vanet_sim::pool::parallel_map_indexed;
-use vanet_sim::SimDuration;
-
-/// One labelled throughput measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRun {
-    /// Scheduler events processed.
-    pub events: u64,
-    /// Wall-clock seconds the run took.
-    pub wall_s: f64,
-    /// Events per wall-clock second.
-    pub events_per_sec: f64,
-    /// Peak resident set size of the process, bytes (0 when unavailable).
-    pub peak_rss_bytes: u64,
-}
-
-/// The outcome of one `--bench` invocation.
-#[derive(Debug, Clone)]
-pub struct BenchOutcome {
-    /// Scenario name (e.g. `megacity-10000`).
-    pub scenario: String,
-    /// Protocol the fleet ran.
-    pub protocol: ProtocolKind,
-    /// Simulated duration of the run, seconds.
-    pub duration_s: f64,
-    /// The measurement.
-    pub run: BenchRun,
-    /// The simulation report (for eyeballing that the run did real work).
-    pub report: Report,
-}
+//! The workspace benchmark (`perfbench/`, see its README) decides how
+//! performance is measured and gated; this module only exposes the one
+//! process-level reading it needs from the runner.
 
 /// Peak resident set size of the current process in bytes, read from
 /// `/proc/self/status` (`VmHWM`). Returns 0 on platforms without procfs.
@@ -72,632 +25,9 @@ pub fn peak_rss_bytes() -> u64 {
     0
 }
 
-/// Runs the hot-path benchmark: `vehicles` on the megacity grid for
-/// `duration_s` simulated seconds under `protocol`, single-threaded (the
-/// point is per-core event throughput, not pool scaling).
-#[must_use]
-pub fn run_hotpath_bench(vehicles: usize, duration_s: f64, protocol: ProtocolKind) -> BenchOutcome {
-    let scenario = Scenario::megacity(vehicles).with_duration(SimDuration::from_secs(duration_s));
-    let scenario_name = scenario.name.clone();
-    let mut sim = Simulation::new(scenario, protocol);
-    let started = Instant::now();
-    let report = sim.run();
-    let wall_s = started.elapsed().as_secs_f64();
-    let events = sim.processed_events();
-    BenchOutcome {
-        scenario: scenario_name,
-        protocol,
-        duration_s,
-        run: BenchRun {
-            events,
-            wall_s,
-            events_per_sec: if wall_s > 0.0 {
-                events as f64 / wall_s
-            } else {
-                0.0
-            },
-            peak_rss_bytes: peak_rss_bytes(),
-        },
-        report,
-    }
-}
-
-/// Runs the hot-path benchmark with a streaming telemetry tap attached,
-/// returning the outcome plus the sealed tap. Bench numbers measured with
-/// the tap are *not* comparable to untapped ones — this entry point exists
-/// so CI can produce a `telemetry.jsonl` artifact from the bench workload
-/// while the committed gate keeps running the untapped build.
-#[must_use]
-pub fn run_hotpath_bench_tapped(
-    vehicles: usize,
-    duration_s: f64,
-    protocol: ProtocolKind,
-    window_s: f64,
-    regions_per_axis: usize,
-) -> (BenchOutcome, vanet_core::WindowedTap) {
-    let scenario = Scenario::megacity(vehicles).with_duration(SimDuration::from_secs(duration_s));
-    let scenario_name = scenario.name.clone();
-    let tap = vanet_core::WindowedTap::new(SimDuration::from_secs(window_s), regions_per_axis);
-    let mut sim = Simulation::with_telemetry(scenario, protocol, tap);
-    let started = Instant::now();
-    let report = sim.run();
-    let wall_s = started.elapsed().as_secs_f64();
-    let events = sim.processed_events();
-    let outcome = BenchOutcome {
-        scenario: scenario_name,
-        protocol,
-        duration_s,
-        run: BenchRun {
-            events,
-            wall_s,
-            events_per_sec: if wall_s > 0.0 {
-                events as f64 / wall_s
-            } else {
-                0.0
-            },
-            peak_rss_bytes: peak_rss_bytes(),
-        },
-        report,
-    };
-    (outcome, sim.into_telemetry())
-}
-
-/// One fleet-capacity measurement: `shards` independent simulations, one per
-/// worker, run concurrently on the pool.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetRun {
-    /// Number of concurrent simulations (= workers used).
-    pub shards: usize,
-    /// Scheduler events processed across all shards.
-    pub total_events: u64,
-    /// Wall-clock seconds for the whole batch.
-    pub wall_s: f64,
-    /// Total events divided by batch wall-clock — the box's capacity.
-    pub aggregate_events_per_sec: f64,
-    /// Each shard's events divided by its own wall-clock, in shard order.
-    pub per_core_events_per_sec: Vec<f64>,
-    /// Peak resident set size of the process, bytes (0 when unavailable).
-    pub peak_rss_bytes: u64,
-}
-
-impl FleetRun {
-    /// Mean of the per-core rates — the "single-core events/sec" a fleet
-    /// measurement is compared to a plain `--bench` run by.
-    #[must_use]
-    pub fn mean_core_events_per_sec(&self) -> f64 {
-        if self.per_core_events_per_sec.is_empty() {
-            0.0
-        } else {
-            self.per_core_events_per_sec.iter().sum::<f64>()
-                / self.per_core_events_per_sec.len() as f64
-        }
-    }
-}
-
-/// The outcome of one `--bench-fleet` invocation.
-#[derive(Debug, Clone)]
-pub struct FleetBenchOutcome {
-    /// Scenario name (e.g. `megacity-100000`).
-    pub scenario: String,
-    /// Protocol every shard ran.
-    pub protocol: ProtocolKind,
-    /// Simulated duration of each shard, seconds.
-    pub duration_s: f64,
-    /// The measurement.
-    pub run: FleetRun,
-}
-
-/// Runs the fleet-capacity benchmark: `shards` independent megacity
-/// simulations of `vehicles` vehicles each, one per pool worker, with
-/// per-shard seeds `1 + shard` (shard 0 therefore reproduces the single-core
-/// `--bench` workload exactly). Returns aggregate and per-core throughput.
-#[must_use]
-pub fn run_fleet_bench(
-    vehicles: usize,
-    duration_s: f64,
-    protocol: ProtocolKind,
-    shards: usize,
-) -> FleetBenchOutcome {
-    let shards = shards.max(1);
-    let scenario = Scenario::megacity(vehicles).with_duration(SimDuration::from_secs(duration_s));
-    let scenario_name = scenario.name.clone();
-    let started = Instant::now();
-    let shard_results: Vec<(u64, f64)> = parallel_map_indexed(shards, shards, |shard| {
-        let mut sim = Simulation::new(scenario.clone().with_seed(1 + shard as u64), protocol);
-        let shard_started = Instant::now();
-        let _ = sim.run();
-        (
-            sim.processed_events(),
-            shard_started.elapsed().as_secs_f64(),
-        )
-    });
-    let wall_s = started.elapsed().as_secs_f64();
-    let total_events: u64 = shard_results.iter().map(|&(events, _)| events).sum();
-    FleetBenchOutcome {
-        scenario: scenario_name,
-        protocol,
-        duration_s,
-        run: FleetRun {
-            shards,
-            total_events,
-            wall_s,
-            aggregate_events_per_sec: if wall_s > 0.0 {
-                total_events as f64 / wall_s
-            } else {
-                0.0
-            },
-            per_core_events_per_sec: shard_results
-                .iter()
-                .map(|&(events, shard_wall)| {
-                    if shard_wall > 0.0 {
-                        events as f64 / shard_wall
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-            peak_rss_bytes: peak_rss_bytes(),
-        },
-    }
-}
-
-/// Extracts the numeric value of `"key":<number>` from flat JSON. Tolerant of
-/// whitespace; returns `None` when the key is absent.
-pub(crate) fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the value of `"key": "string"` from flat JSON.
-pub(crate) fn json_string(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_owned())
-}
-
-fn parse_run(text: &str, label: &str) -> Option<BenchRun> {
-    Some(BenchRun {
-        events: json_number(text, &format!("{label}_events"))? as u64,
-        wall_s: json_number(text, &format!("{label}_wall_s"))?,
-        events_per_sec: json_number(text, &format!("{label}_events_per_sec"))?,
-        peak_rss_bytes: json_number(text, &format!("{label}_peak_rss_bytes"))? as u64,
-    })
-}
-
-fn render_run(out: &mut String, label: &str, run: &BenchRun) {
-    out.push_str(&format!(
-        "  \"{label}_events\": {},\n  \"{label}_wall_s\": {:.3},\n  \
-         \"{label}_events_per_sec\": {:.0},\n  \"{label}_peak_rss_bytes\": {},\n",
-        run.events, run.wall_s, run.events_per_sec, run.peak_rss_bytes
-    ));
-}
-
-/// Renders the bench file contents: `outcome` stored under `label`
-/// (`"baseline"` or `"current"`), preserving the *other* label from
-/// `existing` (the previous file contents, if any). When both measurements
-/// are present a `speedup` field (current / baseline events/sec) is added.
-///
-/// Two measurements are only comparable when they ran the same workload:
-/// the other label is preserved **only if** the existing file's scenario,
-/// protocol and simulated duration match this outcome's. On mismatch the
-/// file is rewritten with the new measurement alone, so a speedup never
-/// silently compares different workloads. (Hardware comparability remains
-/// the operator's responsibility — measure baseline and current on the same
-/// machine.)
-#[must_use]
-pub fn render_bench_json(existing: Option<&str>, label: &str, outcome: &BenchOutcome) -> String {
-    let other_label = if label == "baseline" {
-        "current"
-    } else {
-        "baseline"
-    };
-    let other = match existing {
-        Some(text)
-            if json_string(text, "scenario").as_deref() == Some(outcome.scenario.as_str())
-                && json_string(text, "protocol").as_deref() == Some(outcome.protocol.name())
-                && json_number(text, "duration_s") == Some(outcome.duration_s) =>
-        {
-            parse_run(text, other_label)
-        }
-        _ => None,
-    };
-
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scenario\": \"{}\",\n", outcome.scenario));
-    out.push_str(&format!("  \"protocol\": \"{}\",\n", outcome.protocol));
-    out.push_str(&format!("  \"duration_s\": {},\n", outcome.duration_s));
-    let (baseline, current) = if label == "baseline" {
-        (Some(&outcome.run), other.as_ref())
-    } else {
-        (other.as_ref(), Some(&outcome.run))
-    };
-    if let Some(b) = baseline {
-        render_run(&mut out, "baseline", b);
-    }
-    if let Some(c) = current {
-        render_run(&mut out, "current", c);
-    }
-    if let (Some(b), Some(c)) = (baseline, current) {
-        if b.events_per_sec > 0.0 {
-            out.push_str(&format!(
-                "  \"speedup\": {:.2},\n",
-                c.events_per_sec / b.events_per_sec
-            ));
-        }
-    }
-    // Trim the trailing comma of the last field.
-    if out.ends_with(",\n") {
-        out.truncate(out.len() - 2);
-        out.push('\n');
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Extracts `"key": [n, n, ...]` (a flat numeric array) from flat JSON.
-pub(crate) fn json_number_array(text: &str, key: &str) -> Option<Vec<f64>> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('[')?;
-    let body = &rest[..rest.find(']')?];
-    body.split(',')
-        .filter(|s| !s.trim().is_empty())
-        .map(|s| s.trim().parse().ok())
-        .collect()
-}
-
-fn parse_fleet_run(text: &str, label: &str) -> Option<FleetRun> {
-    let per_core = json_number_array(text, &format!("{label}_per_core_events_per_sec"))?;
-    Some(FleetRun {
-        shards: json_number(text, &format!("{label}_shards"))? as usize,
-        total_events: json_number(text, &format!("{label}_total_events"))? as u64,
-        wall_s: json_number(text, &format!("{label}_wall_s"))?,
-        aggregate_events_per_sec: json_number(text, &format!("{label}_aggregate_events_per_sec"))?,
-        per_core_events_per_sec: per_core,
-        peak_rss_bytes: json_number(text, &format!("{label}_peak_rss_bytes"))? as u64,
-    })
-}
-
-fn render_fleet_run(out: &mut String, label: &str, run: &FleetRun) {
-    let per_core: Vec<String> = run
-        .per_core_events_per_sec
-        .iter()
-        .map(|eps| format!("{eps:.0}"))
-        .collect();
-    out.push_str(&format!(
-        "  \"{label}_shards\": {},\n  \"{label}_total_events\": {},\n  \
-         \"{label}_wall_s\": {:.3},\n  \"{label}_aggregate_events_per_sec\": {:.0},\n  \
-         \"{label}_per_core_events_per_sec\": [{}],\n  \"{label}_peak_rss_bytes\": {},\n",
-        run.shards,
-        run.total_events,
-        run.wall_s,
-        run.aggregate_events_per_sec,
-        per_core.join(", "),
-        run.peak_rss_bytes
-    ));
-}
-
-/// Renders the fleet-bench file: `outcome` stored under `label` (`"baseline"`
-/// or `"current"`), preserving the *other* label from `existing` under the
-/// same mismatched-workload refusal as [`render_bench_json`] — scenario,
-/// protocol and simulated duration must match or the old measurement is
-/// discarded. Shard counts *may* differ between labels (a 1-core baseline
-/// against an N-core current is exactly the "how much did sharding buy"
-/// question): `speedup_single_core` compares mean per-core rates whenever
-/// both labels are present, while `speedup_aggregate` is only emitted when
-/// the shard counts match.
-#[must_use]
-pub fn render_fleet_bench_json(
-    existing: Option<&str>,
-    label: &str,
-    outcome: &FleetBenchOutcome,
-) -> String {
-    let other_label = if label == "baseline" {
-        "current"
-    } else {
-        "baseline"
-    };
-    let other = match existing {
-        Some(text)
-            if json_string(text, "scenario").as_deref() == Some(outcome.scenario.as_str())
-                && json_string(text, "protocol").as_deref() == Some(outcome.protocol.name())
-                && json_number(text, "duration_s") == Some(outcome.duration_s) =>
-        {
-            parse_fleet_run(text, other_label)
-        }
-        _ => None,
-    };
-
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scenario\": \"{}\",\n", outcome.scenario));
-    out.push_str(&format!("  \"protocol\": \"{}\",\n", outcome.protocol));
-    out.push_str(&format!("  \"duration_s\": {},\n", outcome.duration_s));
-    let (baseline, current) = if label == "baseline" {
-        (Some(&outcome.run), other.as_ref())
-    } else {
-        (other.as_ref(), Some(&outcome.run))
-    };
-    if let Some(b) = baseline {
-        render_fleet_run(&mut out, "baseline", b);
-    }
-    if let Some(c) = current {
-        render_fleet_run(&mut out, "current", c);
-    }
-    if let (Some(b), Some(c)) = (baseline, current) {
-        if b.mean_core_events_per_sec() > 0.0 {
-            out.push_str(&format!(
-                "  \"speedup_single_core\": {:.2},\n",
-                c.mean_core_events_per_sec() / b.mean_core_events_per_sec()
-            ));
-        }
-        if b.shards == c.shards && b.aggregate_events_per_sec > 0.0 {
-            out.push_str(&format!(
-                "  \"speedup_aggregate\": {:.2},\n",
-                c.aggregate_events_per_sec / b.aggregate_events_per_sec
-            ));
-        }
-    }
-    if out.ends_with(",\n") {
-        out.truncate(out.len() - 2);
-        out.push('\n');
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Mean of a label's per-core rates in a fleet bench file, if present.
-fn fleet_mean_core(committed: &str, label: &str) -> Option<f64> {
-    let per_core = json_number_array(committed, &format!("{label}_per_core_events_per_sec"))?;
-    if per_core.is_empty() {
-        None
-    } else {
-        Some(per_core.iter().sum::<f64>() / per_core.len() as f64)
-    }
-}
-
-/// The CI regression gate: compares a fresh events/sec measurement against
-/// the committed bench file — `current_events_per_sec` for a hotpath file,
-/// the mean of `current_per_core_events_per_sec` for a fleet file (each
-/// falling back to the `baseline` label for baseline-only files).
-///
-/// Like the merge path, the gate refuses to compare different workloads:
-/// the fresh run's scenario and protocol must match the committed file's.
-/// (Simulated *duration* may differ — events/sec is a rate, and CI
-/// deliberately gates a shorter run against the committed full-length
-/// trajectory.)
-///
-/// Returns the measured/committed ratio on success.
-///
-/// # Errors
-///
-/// * the committed file describes a different scenario or protocol;
-/// * the committed file holds no events/sec measurement to gate against;
-/// * the ratio falls below `min_ratio` (the regression being gated).
-pub fn gate_events_per_sec(
-    committed: &str,
-    measured_scenario: &str,
-    measured_protocol: &str,
-    measured_events_per_sec: f64,
-    min_ratio: f64,
-) -> Result<f64, String> {
-    let scenario = json_string(committed, "scenario");
-    let protocol = json_string(committed, "protocol");
-    if scenario.as_deref() != Some(measured_scenario)
-        || protocol.as_deref() != Some(measured_protocol)
-    {
-        return Err(format!(
-            "committed bench file measures {:?}/{:?}, not the fresh run's \
-             {measured_scenario:?}/{measured_protocol:?} — not comparable",
-            scenario.as_deref().unwrap_or("?"),
-            protocol.as_deref().unwrap_or("?"),
-        ));
-    }
-    let reference = json_number(committed, "current_events_per_sec")
-        .or_else(|| json_number(committed, "baseline_events_per_sec"))
-        .or_else(|| fleet_mean_core(committed, "current"))
-        .or_else(|| fleet_mean_core(committed, "baseline"))
-        .ok_or_else(|| "committed bench file has no events/sec measurement".to_owned())?;
-    if reference <= 0.0 {
-        return Err(format!(
-            "committed events/sec {reference} is not a usable gate reference"
-        ));
-    }
-    let ratio = measured_events_per_sec / reference;
-    if ratio < min_ratio {
-        return Err(format!(
-            "events/sec regressed: measured {measured_events_per_sec:.0} is {:.0}% of the \
-             committed {reference:.0} (gate: {:.0}%)",
-            ratio * 100.0,
-            min_ratio * 100.0
-        ));
-    }
-    Ok(ratio)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn outcome(eps: f64) -> BenchOutcome {
-        BenchOutcome {
-            scenario: "megacity-10".to_owned(),
-            protocol: ProtocolKind::Greedy,
-            duration_s: 20.0,
-            run: BenchRun {
-                events: 1_000,
-                wall_s: 1_000.0 / eps,
-                events_per_sec: eps,
-                peak_rss_bytes: 42 * 1024,
-            },
-            report: vanet_core::Metrics::new().report("Greedy", "megacity-10"),
-        }
-    }
-
-    #[test]
-    fn render_then_merge_round_trips_and_computes_speedup() {
-        let baseline = render_bench_json(None, "baseline", &outcome(1_000.0));
-        assert!(baseline.contains("\"baseline_events_per_sec\": 1000"));
-        assert!(!baseline.contains("speedup"));
-        let merged = render_bench_json(Some(&baseline), "current", &outcome(2_500.0));
-        assert!(merged.contains("\"baseline_events_per_sec\": 1000"));
-        assert!(merged.contains("\"current_events_per_sec\": 2500"));
-        assert!(merged.contains("\"speedup\": 2.50"));
-        let run = parse_run(&merged, "current").unwrap();
-        assert_eq!(run.events, 1_000);
-        assert_eq!(run.peak_rss_bytes, 42 * 1024);
-    }
-
-    #[test]
-    fn incomparable_workloads_are_not_merged() {
-        let baseline = render_bench_json(None, "baseline", &outcome(1_000.0));
-        // Same scenario/protocol but a different simulated duration: the
-        // baseline must be discarded instead of producing a bogus speedup.
-        let mut shorter = outcome(2_500.0);
-        shorter.duration_s = 5.0;
-        let merged = render_bench_json(Some(&baseline), "current", &shorter);
-        assert!(!merged.contains("baseline_events_per_sec"));
-        assert!(!merged.contains("speedup"));
-        // Different scenario: likewise discarded.
-        let mut other = outcome(2_500.0);
-        other.scenario = "megacity-99".to_owned();
-        let merged = render_bench_json(Some(&baseline), "current", &other);
-        assert!(!merged.contains("speedup"));
-        // Identical workload still merges.
-        let merged = render_bench_json(Some(&baseline), "current", &outcome(2_500.0));
-        assert!(merged.contains("\"speedup\": 2.50"));
-    }
-
-    #[test]
-    fn bench_runs_a_tiny_megacity() {
-        let outcome = run_hotpath_bench(20, 2.0, ProtocolKind::Greedy);
-        assert!(outcome.run.events > 0);
-        assert!(outcome.run.events_per_sec > 0.0);
-        assert_eq!(outcome.scenario, "megacity-20");
-    }
-
-    fn fleet_outcome(shards: usize, eps_per_core: f64) -> FleetBenchOutcome {
-        FleetBenchOutcome {
-            scenario: "megacity-10".to_owned(),
-            protocol: ProtocolKind::Greedy,
-            duration_s: 20.0,
-            run: FleetRun {
-                shards,
-                total_events: 1_000 * shards as u64,
-                wall_s: 1_000.0 / eps_per_core,
-                aggregate_events_per_sec: eps_per_core * shards as f64,
-                per_core_events_per_sec: vec![eps_per_core; shards],
-                peak_rss_bytes: 7 * 1024,
-            },
-        }
-    }
-
-    #[test]
-    fn fleet_render_then_merge_round_trips_and_computes_speedups() {
-        let baseline = render_fleet_bench_json(None, "baseline", &fleet_outcome(2, 1_000.0));
-        assert!(baseline.contains("\"baseline_per_core_events_per_sec\": [1000, 1000]"));
-        assert!(!baseline.contains("speedup"));
-        let merged =
-            render_fleet_bench_json(Some(&baseline), "current", &fleet_outcome(2, 2_500.0));
-        assert!(merged.contains("\"baseline_aggregate_events_per_sec\": 2000"));
-        assert!(merged.contains("\"current_aggregate_events_per_sec\": 5000"));
-        assert!(merged.contains("\"speedup_single_core\": 2.50"));
-        assert!(merged.contains("\"speedup_aggregate\": 2.50"));
-        let run = parse_fleet_run(&merged, "current").unwrap();
-        assert_eq!(run.shards, 2);
-        assert_eq!(run.total_events, 2_000);
-        assert_eq!(run.per_core_events_per_sec, vec![2_500.0, 2_500.0]);
-        assert_eq!(run.peak_rss_bytes, 7 * 1024);
-    }
-
-    #[test]
-    fn fleet_single_core_baseline_merges_without_aggregate_speedup() {
-        // The pre-PR measurement is one core; the current run shards over
-        // four. Single-core speedup compares per-core means; the aggregate
-        // speedup would compare different shard counts and is suppressed.
-        let baseline = render_fleet_bench_json(None, "baseline", &fleet_outcome(1, 1_000.0));
-        let merged =
-            render_fleet_bench_json(Some(&baseline), "current", &fleet_outcome(4, 2_000.0));
-        assert!(merged.contains("\"baseline_shards\": 1"));
-        assert!(merged.contains("\"current_shards\": 4"));
-        assert!(merged.contains("\"speedup_single_core\": 2.00"));
-        assert!(!merged.contains("speedup_aggregate"));
-    }
-
-    #[test]
-    fn fleet_incomparable_workloads_are_not_merged() {
-        let baseline = render_fleet_bench_json(None, "baseline", &fleet_outcome(2, 1_000.0));
-        // Different simulated duration: the baseline must be discarded.
-        let mut shorter = fleet_outcome(2, 2_500.0);
-        shorter.duration_s = 5.0;
-        let merged = render_fleet_bench_json(Some(&baseline), "current", &shorter);
-        assert!(!merged.contains("baseline_aggregate_events_per_sec"));
-        assert!(!merged.contains("speedup"));
-        // Different scenario: likewise discarded.
-        let mut other = fleet_outcome(2, 2_500.0);
-        other.scenario = "megacity-99".to_owned();
-        let merged = render_fleet_bench_json(Some(&baseline), "current", &other);
-        assert!(!merged.contains("speedup"));
-        // Hotpath-shaped files do not leak into fleet merges either: the
-        // workload matches but no fleet fields exist to preserve.
-        let hotpath = render_bench_json(None, "baseline", &outcome(1_000.0));
-        let merged = render_fleet_bench_json(Some(&hotpath), "current", &fleet_outcome(2, 2_500.0));
-        assert!(!merged.contains("baseline_"));
-        assert!(!merged.contains("speedup"));
-    }
-
-    #[test]
-    fn fleet_bench_runs_tiny_shards() {
-        let outcome = run_fleet_bench(15, 1.0, ProtocolKind::Greedy, 2);
-        assert_eq!(outcome.run.shards, 2);
-        assert_eq!(outcome.run.per_core_events_per_sec.len(), 2);
-        assert!(outcome.run.total_events > 0);
-        assert!(outcome.run.aggregate_events_per_sec > 0.0);
-        assert_eq!(outcome.scenario, "megacity-15");
-        // Different seeds per shard: the shards are genuinely independent
-        // replications, not one simulation measured twice.
-        assert!(outcome.run.mean_core_events_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn gate_passes_and_fails_on_the_committed_reference() {
-        let gate = |committed: &str, measured: f64, floor: f64| {
-            gate_events_per_sec(committed, "megacity-10", "Greedy", measured, floor)
-        };
-        let committed = render_bench_json(None, "current", &outcome(1_000.0));
-        // 10% drop: within the 25% gate.
-        let ratio = gate(&committed, 900.0, 0.75).unwrap();
-        assert!((ratio - 0.9).abs() < 1e-9);
-        // 30% drop: gated.
-        let err = gate(&committed, 700.0, 0.75).unwrap_err();
-        assert!(err.contains("regressed"), "unexpected message: {err}");
-        // Faster than committed is of course fine.
-        assert!(gate(&committed, 2_000.0, 0.75).is_ok());
-        // Baseline-only files gate against the baseline label.
-        let baseline_only = render_bench_json(None, "baseline", &outcome(1_000.0));
-        assert!(gate(&baseline_only, 800.0, 0.75).is_ok());
-        // A file with no measurement cannot gate.
-        assert!(gate("{}", 800.0, 0.75).is_err());
-        // Fleet files gate against the mean per-core rate, so a fleet run
-        // can gate against its own committed file.
-        let fleet = render_fleet_bench_json(None, "current", &fleet_outcome(2, 1_000.0));
-        let ratio = gate(&fleet, 900.0, 0.75).unwrap();
-        assert!((ratio - 0.9).abs() < 1e-9);
-        assert!(gate(&fleet, 700.0, 0.75).is_err());
-        let fleet_baseline = render_fleet_bench_json(None, "baseline", &fleet_outcome(2, 1_000.0));
-        assert!(gate(&fleet_baseline, 800.0, 0.75).is_ok());
-        // Mismatched workloads refuse to gate at all, in either direction.
-        let err = gate_events_per_sec(&committed, "megacity-99", "Greedy", 9e9, 0.75).unwrap_err();
-        assert!(err.contains("not comparable"), "unexpected message: {err}");
-        assert!(gate_events_per_sec(&committed, "megacity-10", "AODV", 9e9, 0.75).is_err());
-    }
 
     #[test]
     fn peak_rss_is_positive_on_linux() {

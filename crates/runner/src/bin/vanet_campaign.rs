@@ -37,28 +37,23 @@
 //!   --out FILE            write results to FILE instead of stdout
 //!   --telemetry           stream windowed per-job telemetry to
 //!                         DIR/telemetry.jsonl beside the journal
-//!                         (requires --resume DIR; with --bench, writes
-//!                         telemetry.jsonl beside the bench JSON)
+//!                         (requires --resume DIR)
 //!   --telemetry-window S  telemetry window width in sim seconds (default 1)
 //!   --telemetry-regions N spatial regions per axis (default 8)
 //!   --full                paper-scale variant of catalog campaigns
 //!   --quiet               suppress per-job progress on stderr
 //!
 //! vanet-campaign analyze ...   verdicts from campaign artifacts
-//!                              (significance tests, windowed CSV exports,
-//!                              bench-trajectory regression checks — see
-//!                              `analyze --help`)
+//!                              (significance tests and windowed CSV
+//!                              exports — see `analyze --help`)
 //! ```
 
 use std::process::ExitCode;
 use vanet_core::ProtocolKind;
 use vanet_runner::{
-    campaign_by_name, gate_events_per_sec, parse_protocol, parse_scenario, render_bench_json,
-    render_csv, render_fleet_bench_json, render_jsonl, render_table, run_analyze, run_fleet_bench,
-    run_hotpath_bench, run_hotpath_bench_tapped, CampaignPlan, CampaignSpec, ReplicationPolicy,
-    Runner, TelemetryEntry, TelemetryLog, TelemetrySettings, CATALOG,
+    campaign_by_name, parse_protocol, parse_scenario, render_csv, render_jsonl, render_table,
+    run_analyze, CampaignPlan, CampaignSpec, ReplicationPolicy, Runner, TelemetrySettings, CATALOG,
 };
-use vanet_sim::pool::available_workers;
 
 #[derive(Debug, PartialEq)]
 enum Format {
@@ -85,14 +80,6 @@ struct Args {
     quiet: bool,
     list: bool,
     shard: Option<(usize, usize)>,
-    bench: bool,
-    bench_fleet: bool,
-    bench_vehicles: usize,
-    bench_duration_s: f64,
-    bench_label: String,
-    bench_shards: Option<usize>,
-    bench_gate: Option<String>,
-    bench_gate_ratio: f64,
     telemetry: bool,
     telemetry_window_s: f64,
     telemetry_regions: usize,
@@ -106,13 +93,8 @@ fn usage() -> String {
          [--ci-max N] [--workers N] [--format table|csv|jsonl] [--out FILE] \
          [--shard I/N] [--telemetry] [--telemetry-window S] \
          [--telemetry-regions N] [--full] [--quiet] [--list]\n       \
-         vanet-campaign --bench [--bench-vehicles N] [--bench-duration S] \
-         [--bench-label baseline|current] [--out FILE] \
-         [--bench-gate FILE] [--bench-gate-ratio R] [--telemetry]\n       \
-         vanet-campaign --bench-fleet [--bench-shards N] [--bench-vehicles N] \
-         [--bench-duration S] [--bench-label baseline|current] [--out FILE]\n       \
          vanet-campaign analyze --journal DIR | --timeseries DIR | \
-         --regions DIR | --bench-trend FILE... (see analyze --help)\n\n\
+         --regions DIR (see analyze --help)\n\n\
          campaign telemetry (--telemetry, requires --resume DIR) streams \
          windowed per-job counters\n         to DIR/telemetry.jsonl beside \
          the journal; analyze turns artifacts into verdicts.\n\n\
@@ -173,14 +155,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         quiet: false,
         list: false,
         shard: None,
-        bench: false,
-        bench_fleet: false,
-        bench_vehicles: 10_000,
-        bench_duration_s: 20.0,
-        bench_label: "current".to_owned(),
-        bench_shards: None,
-        bench_gate: None,
-        bench_gate_ratio: 0.75,
         telemetry: false,
         telemetry_window_s: 1.0,
         telemetry_regions: 8,
@@ -268,62 +242,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
                 args.shard = Some(shard);
             }
-            "--bench" => args.bench = true,
-            "--bench-fleet" => args.bench_fleet = true,
-            "--bench-shards" => {
-                let shards: usize = value("--bench-shards")?
-                    .parse()
-                    .map_err(|_| "--bench-shards needs an integer".to_owned())?;
-                if shards == 0 {
-                    return Err("--bench-shards must be at least 1".to_owned());
-                }
-                args.bench_shards = Some(shards);
-            }
-            "--bench-gate" => args.bench_gate = Some(value("--bench-gate")?.clone()),
-            "--bench-gate-ratio" => {
-                let ratio: f64 = value("--bench-gate-ratio")?
-                    .parse()
-                    .map_err(|_| "--bench-gate-ratio needs a number".to_owned())?;
-                if !(0.0..=1.0).contains(&ratio) {
-                    return Err("--bench-gate-ratio must be within 0..=1".to_owned());
-                }
-                args.bench_gate_ratio = ratio;
-            }
             "--telemetry" => args.telemetry = true,
+            // Ranges are checked against the plan by `TelemetrySettings::check`.
             "--telemetry-window" => {
-                let window: f64 = value("--telemetry-window")?
+                args.telemetry_window_s = value("--telemetry-window")?
                     .parse()
                     .map_err(|_| "--telemetry-window needs a number of seconds".to_owned())?;
-                if !window.is_finite() || window <= 0.0 {
-                    return Err("--telemetry-window must be a positive number".to_owned());
-                }
-                args.telemetry_window_s = window;
             }
             "--telemetry-regions" => {
-                let regions: usize = value("--telemetry-regions")?
+                args.telemetry_regions = value("--telemetry-regions")?
                     .parse()
                     .map_err(|_| "--telemetry-regions needs an integer".to_owned())?;
-                if regions == 0 {
-                    return Err("--telemetry-regions must be at least 1".to_owned());
-                }
-                args.telemetry_regions = regions;
-            }
-            "--bench-vehicles" => {
-                args.bench_vehicles = value("--bench-vehicles")?
-                    .parse()
-                    .map_err(|_| "--bench-vehicles needs an integer".to_owned())?;
-            }
-            "--bench-duration" => {
-                args.bench_duration_s = value("--bench-duration")?
-                    .parse()
-                    .map_err(|_| "--bench-duration needs a number of seconds".to_owned())?;
-            }
-            "--bench-label" => {
-                let label = value("--bench-label")?.clone();
-                if label != "baseline" && label != "current" {
-                    return Err("--bench-label must be baseline or current".to_owned());
-                }
-                args.bench_label = label;
             }
             "--help" | "-h" => return Err(HELP_SENTINEL.to_owned()),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
@@ -379,204 +308,16 @@ fn build_plan(args: &Args) -> Result<CampaignPlan, String> {
     Ok(plan)
 }
 
-fn bench_protocol(args: &Args) -> Result<ProtocolKind, String> {
-    match args.protocols.first() {
-        None => Ok(ProtocolKind::Greedy),
-        Some(name) => parse_protocol(name),
-    }
-}
-
-/// Applies `--bench-gate`: compares `measured_events_per_sec` against the
-/// committed bench file's events/sec (same scenario and protocol required)
-/// and fails below `--bench-gate-ratio`.
-fn apply_gate(
-    args: &Args,
-    scenario: &str,
-    protocol: ProtocolKind,
-    measured_events_per_sec: f64,
-) -> Result<(), String> {
-    let Some(path) = args.bench_gate.as_deref() else {
-        return Ok(());
-    };
-    let committed = std::fs::read_to_string(path)
-        .map_err(|error| format!("cannot read gate reference {path:?}: {error}"))?;
-    let ratio = gate_events_per_sec(
-        &committed,
-        scenario,
-        protocol.name(),
-        measured_events_per_sec,
-        args.bench_gate_ratio,
-    )
-    .map_err(|message| format!("perf gate vs {path}: {message}"))?;
-    eprintln!(
-        "[vanet-campaign] perf gate vs {path}: {:.0}% of committed events/sec (floor {:.0}%)",
-        ratio * 100.0,
-        args.bench_gate_ratio * 100.0
-    );
-    Ok(())
-}
-
-/// `--bench`: one single-threaded megacity run; the measurement is merged
-/// into the bench JSON file under `--bench-label`, preserving the other
-/// label so baseline/current pairs accumulate a speedup.
-fn run_bench(args: &Args) -> ExitCode {
-    let protocol = match bench_protocol(args) {
-        Ok(p) => p,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "[vanet-campaign] bench: megacity-{} x {}s under {} ({})",
-        args.bench_vehicles, args.bench_duration_s, protocol, args.bench_label
-    );
-    let (outcome, tap) = if args.telemetry {
-        let (outcome, tap) = run_hotpath_bench_tapped(
-            args.bench_vehicles,
-            args.bench_duration_s,
-            protocol,
-            args.telemetry_window_s,
-            args.telemetry_regions,
-        );
-        (outcome, Some(tap))
-    } else {
-        (
-            run_hotpath_bench(args.bench_vehicles, args.bench_duration_s, protocol),
-            None,
-        )
-    };
-    eprintln!(
-        "[vanet-campaign] {} events in {:.2}s = {:.0} events/sec, peak RSS {:.1} MiB, pdr {:.3}",
-        outcome.run.events,
-        outcome.run.wall_s,
-        outcome.run.events_per_sec,
-        outcome.run.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-        outcome.report.delivery_ratio,
-    );
-    let path = args.out.as_deref().unwrap_or("BENCH_hotpath.json");
-    let existing = std::fs::read_to_string(path).ok();
-    let rendered = render_bench_json(existing.as_deref(), &args.bench_label, &outcome);
-    if let Err(error) = std::fs::write(path, &rendered) {
-        eprintln!("cannot write {path:?}: {error}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[vanet-campaign] wrote {path}");
-    if let Some(tap) = &tap {
-        let dir = std::path::Path::new(path)
-            .parent()
-            .filter(|parent| !parent.as_os_str().is_empty())
-            .unwrap_or_else(|| std::path::Path::new("."));
-        // The bench workload is fully described by its label; a stable key
-        // keeps repeated runs of the same workload on one telemetry line.
-        let mut hasher = vanet_sim::StableHasher::new();
-        hasher.write_str("bench-telemetry/v1");
-        hasher.write_str(&outcome.scenario);
-        hasher.write_str(protocol.name());
-        hasher.write_u64(args.bench_duration_s.to_bits());
-        let entry = TelemetryEntry::from_tap(
-            hasher.finish(),
-            "bench",
-            &format!("{}/{}", outcome.scenario, protocol.name()),
-            0,
-            tap,
-        );
-        match TelemetryLog::open(dir).and_then(|log| {
-            log.record(&entry)?;
-            Ok(log.path().to_path_buf())
-        }) {
-            Ok(telemetry_path) => {
-                eprintln!("[vanet-campaign] wrote {}", telemetry_path.display());
-            }
-            Err(error) => {
-                eprintln!("cannot write telemetry beside {path:?}: {error}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(message) = apply_gate(
-        args,
-        &outcome.scenario,
-        protocol,
-        outcome.run.events_per_sec,
-    ) {
-        eprintln!("{message}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// `--bench-fleet`: one simulation per core (or `--bench-shards`) on the
-/// worker pool — the fleet-capacity measurement, written to
-/// `BENCH_fleet.json` under `--bench-label`.
-fn run_bench_fleet(args: &Args) -> ExitCode {
-    let protocol = match bench_protocol(args) {
-        Ok(p) => p,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let shards = args
-        .bench_shards
-        .or(args.workers)
-        .unwrap_or_else(available_workers);
-    eprintln!(
-        "[vanet-campaign] fleet bench: {} x megacity-{} x {}s under {} ({})",
-        shards, args.bench_vehicles, args.bench_duration_s, protocol, args.bench_label
-    );
-    let outcome = run_fleet_bench(args.bench_vehicles, args.bench_duration_s, protocol, shards);
-    let per_core: Vec<String> = outcome
-        .run
-        .per_core_events_per_sec
-        .iter()
-        .map(|eps| format!("{eps:.0}"))
-        .collect();
-    eprintln!(
-        "[vanet-campaign] {} events across {} shards in {:.2}s = {:.0} events/sec aggregate \
-         (per core: [{}]), peak RSS {:.1} MiB",
-        outcome.run.total_events,
-        outcome.run.shards,
-        outcome.run.wall_s,
-        outcome.run.aggregate_events_per_sec,
-        per_core.join(", "),
-        outcome.run.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-    );
-    let path = args.out.as_deref().unwrap_or("BENCH_fleet.json");
-    let existing = std::fs::read_to_string(path).ok();
-    let rendered = render_fleet_bench_json(existing.as_deref(), &args.bench_label, &outcome);
-    if let Err(error) = std::fs::write(path, &rendered) {
-        eprintln!("cannot write {path:?}: {error}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[vanet-campaign] wrote {path}");
-    if let Err(message) = apply_gate(
-        args,
-        &outcome.scenario,
-        protocol,
-        outcome.run.mean_core_events_per_sec(),
-    ) {
-        eprintln!("{message}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("analyze") {
         return match run_analyze(&argv[1..]) {
-            Ok(report) => {
-                print!("{}", report.text);
-                if !report.text.ends_with('\n') {
+            Ok(text) => {
+                print!("{text}");
+                if !text.ends_with('\n') {
                     println!();
                 }
-                if report.regressions > 0 {
-                    eprintln!("[vanet-campaign] {} check(s) failed", report.regressions);
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
+                ExitCode::SUCCESS
             }
             Err(message) => {
                 eprintln!("{message}");
@@ -598,16 +339,6 @@ fn main() -> ExitCode {
     if args.list {
         print!("{}", usage());
         return ExitCode::SUCCESS;
-    }
-    if args.bench && args.bench_fleet {
-        eprintln!("--bench and --bench-fleet are mutually exclusive");
-        return ExitCode::FAILURE;
-    }
-    if args.bench {
-        return run_bench(&args);
-    }
-    if args.bench_fleet {
-        return run_bench_fleet(&args);
     }
     let plan = match build_plan(&args) {
         Ok(plan) => plan,
@@ -648,10 +379,18 @@ fn main() -> ExitCode {
             eprintln!("--telemetry needs --resume DIR (telemetry.jsonl lives beside the journal)");
             return ExitCode::FAILURE;
         }
-        runner = runner.with_telemetry(TelemetrySettings {
+        let settings = TelemetrySettings {
             window_s: args.telemetry_window_s,
             regions_per_axis: args.telemetry_regions,
-        });
+        };
+        if let Some((label, error)) = plan.cells.iter().find_map(|cell| {
+            let error = settings.check(cell.scenario.duration).err()?;
+            Some((&cell.label, error))
+        }) {
+            eprintln!("cell {label:?}: {error}");
+            return ExitCode::FAILURE;
+        }
+        runner = runner.with_telemetry(settings);
     }
     let results = runner.run_plan(&plan);
     if args.resume.is_some() {

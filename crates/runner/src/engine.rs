@@ -56,6 +56,99 @@ impl Default for TelemetrySettings {
     }
 }
 
+/// Largest `regions_per_axis` that [`TelemetrySettings::check`] accepts.
+/// Each job's tap preallocates this² region counters (24 bytes each, so
+/// 1.5 MiB at the cap).
+pub const MAX_TELEMETRY_REGIONS_PER_AXIS: usize = 256;
+
+/// Most windows one job's tap may span under [`TelemetrySettings::check`].
+/// The tap reserves one record per window up front (248 bytes each, so
+/// about 25 MB at the cap).
+pub const MAX_TELEMETRY_WINDOWS: usize = 100_000;
+
+/// Why [`TelemetrySettings::check`] refused a configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TelemetrySettingsError {
+    /// The window width is not a positive, finite number of seconds.
+    BadWindow {
+        /// The refused width, seconds.
+        window_s: f64,
+    },
+    /// `regions_per_axis` is zero or above [`MAX_TELEMETRY_REGIONS_PER_AXIS`].
+    BadRegions {
+        /// The refused regions per axis.
+        regions_per_axis: usize,
+    },
+    /// The scenario would span more than [`MAX_TELEMETRY_WINDOWS`] windows.
+    TooManyWindows {
+        /// The window width, seconds.
+        window_s: f64,
+        /// The scenario duration, seconds.
+        duration_s: f64,
+        /// The windows a tap would reserve per job.
+        windows: f64,
+    },
+}
+
+impl std::fmt::Display for TelemetrySettingsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "telemetry settings refused: ")?;
+        match *self {
+            TelemetrySettingsError::BadWindow { window_s } => {
+                write!(f, "window {window_s} s is not a positive number of seconds")
+            }
+            TelemetrySettingsError::BadRegions { regions_per_axis } => write!(
+                f,
+                "{regions_per_axis} regions per axis is outside \
+                 1..={MAX_TELEMETRY_REGIONS_PER_AXIS}"
+            ),
+            TelemetrySettingsError::TooManyWindows {
+                window_s,
+                duration_s,
+                windows,
+            } => write!(
+                f,
+                "a {window_s} s window over a {duration_s} s scenario makes {windows:.0} \
+                 windows per job, above the limit of {MAX_TELEMETRY_WINDOWS}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TelemetrySettingsError {}
+
+impl TelemetrySettings {
+    /// Checks that a tap with these settings stays within
+    /// [`MAX_TELEMETRY_REGIONS_PER_AXIS`] and [`MAX_TELEMETRY_WINDOWS`] over
+    /// a scenario of `duration`. Run it against every cell before a campaign
+    /// starts: the tap preallocates its counters, so oversized settings
+    /// would otherwise fail an allocation and abort the process.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first limit the settings break.
+    pub fn check(&self, duration: SimDuration) -> Result<(), TelemetrySettingsError> {
+        let window_s = self.window_s;
+        if !(window_s.is_finite() && window_s > 0.0) {
+            return Err(TelemetrySettingsError::BadWindow { window_s });
+        }
+        if !(1..=MAX_TELEMETRY_REGIONS_PER_AXIS).contains(&self.regions_per_axis) {
+            return Err(TelemetrySettingsError::BadRegions {
+                regions_per_axis: self.regions_per_axis,
+            });
+        }
+        let windows = WindowedTap::expected_windows(SimDuration::from_secs(window_s), duration);
+        if windows > MAX_TELEMETRY_WINDOWS as f64 {
+            return Err(TelemetrySettingsError::TooManyWindows {
+                window_s,
+                duration_s: duration.as_secs(),
+                windows,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// One aggregated cell of a finished campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSummary {
@@ -210,6 +303,9 @@ impl Runner {
     /// Resume composes: a job is only treated as cached when both its
     /// journal line *and* its telemetry line survived, so a truncated
     /// `telemetry.jsonl` re-runs exactly the affected jobs.
+    ///
+    /// Settings taken from user input should pass
+    /// [`TelemetrySettings::check`] for every cell first.
     ///
     /// # Panics
     ///
@@ -763,6 +859,48 @@ mod tests {
             )
             .protocols([ProtocolKind::Flooding])
             .replications(2)
+    }
+
+    #[test]
+    fn telemetry_check_refuses_oversized_settings_at_the_limits() {
+        let settings = |window_s: f64, regions_per_axis: usize| TelemetrySettings {
+            window_s,
+            regions_per_axis,
+        };
+        let secs = SimDuration::from_secs;
+        assert_eq!(TelemetrySettings::default().check(secs(3600.0)), Ok(()));
+        // Exactly MAX_TELEMETRY_WINDOWS windows (99,999 + the partial one).
+        assert_eq!(settings(1.0, 8).check(secs(99_999.0)), Ok(()));
+        assert_eq!(
+            settings(1.0, 8).check(secs(100_000.0)),
+            Err(TelemetrySettingsError::TooManyWindows {
+                window_s: 1.0,
+                duration_s: 100_000.0,
+                windows: 100_001.0
+            })
+        );
+        let tiny = settings(1e-12, 8).check(secs(120.0)).unwrap_err();
+        assert!(
+            tiny.to_string().contains("120000000000001 windows per job"),
+            "{tiny}"
+        );
+        assert_eq!(
+            settings(1.0, MAX_TELEMETRY_REGIONS_PER_AXIS).check(secs(60.0)),
+            Ok(())
+        );
+        for regions_per_axis in [0, MAX_TELEMETRY_REGIONS_PER_AXIS + 1, 100_000] {
+            assert_eq!(
+                settings(1.0, regions_per_axis).check(secs(60.0)),
+                Err(TelemetrySettingsError::BadRegions { regions_per_axis })
+            );
+        }
+        for window_s in [0.0, -1.0, f64::INFINITY] {
+            assert!(matches!(
+                settings(window_s, 8).check(secs(60.0)),
+                Err(TelemetrySettingsError::BadWindow { .. })
+            ));
+        }
+        assert!(settings(f64::NAN, 8).check(secs(60.0)).is_err());
     }
 
     #[test]

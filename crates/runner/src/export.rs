@@ -1,8 +1,8 @@
 //! Campaign result exports: fixed-width tables, CSV and JSONL.
 //!
-//! CSV and JSONL are written *and* parsed here (the environment has no serde
-//! runtime, so the JSON emitter/parser is a self-contained ~100-line
-//! recursive-descent affair). Render → parse is lossless for every statistic:
+//! CSV and JSONL are written *and* parsed here (the workspace has no
+//! external dependencies, so the JSON emitter/parser is a self-contained
+//! ~100-line recursive-descent affair). Render → parse is lossless for every statistic:
 //! floats are formatted with Rust's shortest-round-trip `Display`, so
 //! `parse(render(r))` reproduces the exact same bits — the round-trip
 //! integration tests rely on that.

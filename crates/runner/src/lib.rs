@@ -69,15 +69,14 @@ pub mod scenario_spec;
 pub mod summary;
 pub mod telemetry;
 
-pub use analysis::{metric_value, run_analyze, welch_t_test, AnalyzeReport, WelchResult};
-pub use bench::{
-    gate_events_per_sec, peak_rss_bytes, render_bench_json, render_fleet_bench_json,
-    run_fleet_bench, run_hotpath_bench, run_hotpath_bench_tapped, BenchOutcome, BenchRun,
-    FleetBenchOutcome, FleetRun,
-};
+pub use analysis::{metric_value, run_analyze, welch_t_test, WelchResult};
+pub use bench::peak_rss_bytes;
 pub use campaign::{parse_protocol, protocol_by_name, CampaignSpec, Job};
 pub use catalog::{campaign_by_name, parse_scenario, CATALOG};
-pub use engine::{CampaignResults, CellSummary, QuarantinedJob, Runner, TelemetrySettings};
+pub use engine::{
+    CampaignResults, CellSummary, QuarantinedJob, Runner, TelemetrySettings,
+    TelemetrySettingsError, MAX_TELEMETRY_REGIONS_PER_AXIS, MAX_TELEMETRY_WINDOWS,
+};
 pub use export::{
     parse_csv, parse_jsonl, render_csv, render_jsonl, render_table, ExportError, ParsedCampaign,
 };

@@ -260,7 +260,7 @@ fn timeseries_round_trips_dtn_buffer_columns() {
 
     let timeseries = run_analyze(&["--timeseries".to_owned(), dir.display().to_string()])
         .expect("timeseries mode");
-    let mut lines = timeseries.text.lines().filter(|l| !l.trim().is_empty());
+    let mut lines = timeseries.lines().filter(|l| !l.trim().is_empty());
     let header: Vec<&str> = lines.next().expect("csv header").split(',').collect();
     let idx = |name: &str| {
         header
@@ -335,17 +335,16 @@ fn analyze_produces_csv_and_significance_verdicts_from_a_real_campaign() {
 
     let significance =
         run_analyze(&["--journal".to_owned(), dir_arg.clone()]).expect("significance mode");
-    assert_eq!(significance.regressions, 0);
-    assert!(significance.text.contains("greedy vs flooding"));
+    assert!(significance.contains("greedy vs flooding"));
     assert!(
-        significance.text.contains("significant at 95%"),
+        significance.contains("significant at 95%"),
         "a verdict line is always rendered: {}",
-        significance.text
+        significance
     );
 
     let timeseries =
         run_analyze(&["--timeseries".to_owned(), dir_arg.clone()]).expect("timeseries mode");
-    let mut lines = timeseries.text.lines();
+    let mut lines = timeseries.lines();
     let header = lines.next().expect("csv header");
     assert!(header.starts_with("key,label,seed,window,t_s,originations,"));
     assert!(header.contains("drop_no_route") && header.contains("medium_transmissions"));
@@ -354,8 +353,8 @@ fn analyze_produces_csv_and_significance_verdicts_from_a_real_campaign() {
     assert!(rows >= 6 * 5, "expected full windowed rows, got {rows}");
 
     let regions = run_analyze(&["--regions".to_owned(), dir_arg]).expect("regions mode");
-    assert!(regions.text.starts_with("key,label,seed,region,rx,ry,"));
-    assert!(regions.text.lines().count() > 6 * 4, "4x4 grid per job");
+    assert!(regions.starts_with("key,label,seed,region,rx,ry,"));
+    assert!(regions.lines().count() > 6 * 4, "4x4 grid per job");
 
     std::fs::remove_dir_all(&dir).ok();
 }

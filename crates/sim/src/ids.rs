@@ -4,31 +4,22 @@
 //! accidental mixing of identifier spaces (for example routing a packet to a
 //! packet id instead of a node id), which the type system then rejects.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a simulation node (vehicle, road-side unit or bus ferry).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a packet, unique within one simulation run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PacketId(pub u64);
 
 /// Identifier of an application traffic flow (source/destination pair).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowId(pub u32);
 
 /// Monotonically increasing sequence number (AODV/DSDV style).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SeqNo(pub u64);
 
 impl NodeId {
@@ -98,7 +89,7 @@ impl fmt::Display for SeqNo {
 }
 
 /// A small allocator handing out unique [`PacketId`]s.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct PacketIdAllocator {
     next: u64,
 }

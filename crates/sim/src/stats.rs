@@ -6,10 +6,9 @@
 //! sampled quantities (e.g. neighbour count over time) and plain counters.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Numerically stable running mean / variance / min / max (Welford).
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -130,7 +129,7 @@ impl RunningStats {
 }
 
 /// A monotone event counter.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -158,7 +157,7 @@ impl Counter {
 }
 
 /// A histogram with uniform bins over `[low, high)` plus under/overflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     low: f64,
     high: f64,
@@ -264,7 +263,7 @@ impl Histogram {
 ///
 /// Used for metrics like "average neighbour count": each call to
 /// [`TimeWeightedAverage::update`] closes the previous interval at its value.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeWeightedAverage {
     last_time: Option<SimTime>,
     last_value: f64,

@@ -5,7 +5,6 @@
 //! type level (mixing them up is a classic simulation bug) and provide a
 //! *total* ordering so they can be used as keys in the event queue.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -14,11 +13,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 ///
 /// `SimTime` implements a total ordering; constructing it from a NaN value is
 /// a programming error and panics (see [`SimTime::from_secs`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 /// A length of simulated time, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimDuration(f64);
 
 impl SimTime {
