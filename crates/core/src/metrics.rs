@@ -46,8 +46,9 @@ pub struct Metrics {
     pub custody_transfers: Counter,
     /// Highest bundle-buffer occupancy observed at any node.
     pub buffer_peak: usize,
-    /// Send time and source of every originated packet (for delay/PDR).
-    // lint: allow(D1) — lookup-only (`insert`/`get` by PacketId); never
+    /// Send time and source of every originated packet not yet delivered
+    /// (for delay).
+    // lint: allow(D1) — lookup-only (`insert`/`remove` by PacketId); never
     // iterated, so map order cannot reach a Report (metrics tests pin every
     // derived value).
     pub(crate) outstanding: HashMap<PacketId, (SimTime, NodeId)>,
@@ -79,8 +80,9 @@ impl Metrics {
         self.delivered_ids.insert(id);
         self.data_delivered.incr();
         self.hops.record(f64::from(hops));
-        if let Some((sent, _)) = self.outstanding.get(&id) {
-            self.delays.record(now.saturating_since(*sent).as_secs());
+        // Duplicates returned above, so this is the entry's last use.
+        if let Some((sent, _)) = self.outstanding.remove(&id) {
+            self.delays.record(now.saturating_since(sent).as_secs());
         }
     }
 
@@ -312,6 +314,17 @@ mod tests {
         assert!((m.delivery_ratio() - 0.5).abs() < 1e-12);
         assert!((m.delays.mean() - 0.5).abs() < 1e-12);
         assert_eq!(m.hops.mean(), 3.0);
+    }
+
+    #[test]
+    fn delivered_packets_leave_the_outstanding_map() {
+        let mut m = Metrics::new();
+        m.record_origination(PacketId(1), NodeId(0), SimTime::ZERO);
+        m.record_origination(PacketId(2), NodeId(0), SimTime::ZERO);
+        m.record_delivery(PacketId(1), 3, SimTime::from_secs(0.5));
+        m.record_delivery(PacketId(1), 3, SimTime::from_secs(0.6));
+        assert_eq!(m.outstanding.len(), 1);
+        assert!(m.outstanding.contains_key(&PacketId(2)));
     }
 
     #[test]

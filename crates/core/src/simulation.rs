@@ -501,51 +501,9 @@ impl<T: Telemetry> Simulation<T> {
         self.scheduler.processed_events()
     }
 
-    /// How often (in events) the run loop warms the cache for upcoming
-    /// events, and how many upcoming events it previews each time.
-    const WARM_STRIDE: u32 = 8;
-    const WARM_LOOKAHEAD: usize = 16;
-
-    /// Touches the per-node state the next few events will need. Event
-    /// handling is a serial chain of dependent cache misses over hundreds of
-    /// megabytes of per-node tables at fleet scale; issuing the next events'
-    /// loads a few microseconds early lets those misses overlap instead of
-    /// serialising. Purely a cache hint — `black_box` just keeps the reads
-    /// alive — so behaviour is untouched.
-    fn warm_upcoming(&self) {
-        let mut warm = 0usize;
-        for event in self.scheduler.peek_upcoming(Self::WARM_LOOKAHEAD) {
-            match event {
-                Event::PacketArrival {
-                    receiver, packet, ..
-                } => {
-                    // Walk the exact arena blocks the arrival's neighbour
-                    // refresh will touch (handle, key scan, entry slot).
-                    warm ^= self
-                        .neighbor_arena
-                        .warm_for(&self.nodes[receiver.index()].neighbors, packet.prev_hop);
-                }
-                Event::BackboneArrival { receiver, .. } => {
-                    warm ^= self.nodes[receiver.index()].neighbors.len();
-                }
-                Event::Beacon(id) | Event::Maintain(id) => {
-                    warm ^= self.nodes[id.index()].neighbors.len();
-                }
-                Event::MobilityStep | Event::FlowSend(_) | Event::Fault(_) => {}
-            }
-        }
-        std::hint::black_box(warm);
-    }
-
     /// Runs the simulation to completion and returns the report.
     pub fn run(&mut self) -> Report {
-        let mut until_warm = 0u32;
         while let Some((now, event)) = self.scheduler.next_event() {
-            if until_warm == 0 {
-                until_warm = Self::WARM_STRIDE;
-                self.warm_upcoming();
-            }
-            until_warm -= 1;
             self.telemetry.on_event(now, self.medium.stats());
             self.handle_event(now, event);
         }

@@ -164,21 +164,6 @@ impl NeighborTable {
         }
     }
 
-    /// Cache-warming probe for event-lookahead: walks exactly the lines a
-    /// coming `observe`/lookup for `id` will touch — the table header, the
-    /// key scan, and the entry slot itself — and folds them into a value the
-    /// caller can `black_box` so the loads stay alive. Behaviourally inert;
-    /// the point is that a batch of these probes for *independent* tables
-    /// overlaps its cache misses, where the real event handlers would pay
-    /// them serially.
-    #[must_use]
-    pub fn warm_for(&self, id: NodeId) -> usize {
-        match self.position_of(id) {
-            Ok(i) => self.entries[i].last_heard.as_secs().to_bits() as usize,
-            Err(i) => i,
-        }
-    }
-
     /// Re-mirrors the key vector into the inline array after a structural
     /// change (no-op for tables that have outgrown it).
     fn sync_inline(&mut self) {

@@ -5,7 +5,7 @@
 //! without touching the allocator, consistent with the zero-alloc event
 //! hot path. Capacity pressure is resolved by a pluggable [`DropPolicy`];
 //! TTL expiry is checked lazily from the per-node maintenance deadline that
-//! already rides the cancellable timer wheel (the same lazy-purge
+//! already rides the batched timer wheel (the same lazy-purge
 //! discipline the neighbour tables use), so expiry needs no timers of its
 //! own and fires at exactly the maintenance instants the `(time, seq)`
 //! order defines.

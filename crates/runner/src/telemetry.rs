@@ -1,13 +1,12 @@
 //! Persisted streaming telemetry: one compact columnar JSON line per job.
 //!
 //! When a campaign runs with the telemetry tap enabled, the
-//! [`Runner`](crate::Runner) flushes each job's sealed
-//! [`WindowedTap`](vanet_core::WindowedTap) as one line of
-//! `telemetry.jsonl` next to the campaign journal. The format is columnar
-//! — a `"cols"` object mapping column names to arrays with one element per
-//! window (plus three `region_*` columns with one element per spatial
-//! bucket) — so a line is self-describing and an analysis pass can project
-//! any column without touching the rest.
+//! [`Runner`](crate::Runner) flushes each job's sealed [`WindowedTap`] as
+//! one line of `telemetry.jsonl` next to the campaign journal. The format is
+//! columnar — a `"cols"` object mapping column names to arrays with one
+//! element per window (plus three `region_*` columns with one element per
+//! spatial bucket) — so a line is self-describing and an analysis pass can
+//! project any column without touching the rest.
 //!
 //! The file follows the journal's persistence contract exactly: keyed by
 //! the job's stable content hash, append-only, one `write` per record,

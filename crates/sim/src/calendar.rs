@@ -4,9 +4,9 @@
 //! The [`TimerWheel`](crate::TimerWheel) batches *periodic* timers whose
 //! deadlines sit a slot width or more apart; the few thousand sub-millisecond
 //! in-flight arrivals between a transmission and its deliveries are a
-//! different population: dense, very near future, never cancelled. Keeping
-//! them in the binary heap costs `O(log Q)` pointer-chasing comparisons per
-//! arrival. [`CalendarQueue`] instead hashes them into a fixed ring of
+//! different population: dense and very near future. Keeping them in the
+//! binary heap costs `O(log Q)` pointer-chasing comparisons per arrival.
+//! [`CalendarQueue`] instead hashes them into a fixed ring of
 //! `buckets` buckets each `bucket` wide: scheduling is an `O(1)` push into a
 //! contiguous vector, and a bucket is sorted once when the clock reaches it,
 //! so the per-event cost is an amortised in-cache sort of one small bucket.
@@ -26,7 +26,6 @@
 use crate::time::{SimDuration, SimTime};
 
 /// One calendar entry: the `(time, seq)` ordering key plus the payload.
-/// Arrivals are never cancelled, so there is no tombstone bookkeeping.
 #[derive(Debug, Clone)]
 struct Entry<E> {
     time: SimTime,
@@ -181,22 +180,6 @@ impl<E> CalendarQueue<E> {
         self.len -= 1;
         Some((entry.time, entry.event))
     }
-
-    /// The next `k` entries of the activated bucket, soonest first (exact
-    /// for the activated bucket; later buckets are not previewed). Advisory,
-    /// for cache-warming passes over upcoming events.
-    pub fn peek_upcoming(&self, k: usize) -> impl Iterator<Item = &E> {
-        self.current.iter().rev().take(k).map(|entry| &entry.event)
-    }
-
-    /// Drops all pending entries; ring capacity is retained.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.current.clear();
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -290,15 +273,5 @@ mod tests {
         c.push(t(0.0005), 0, "pending");
         c.reanchor(t(0.050));
         assert_eq!(c.pop().unwrap().1, "pending");
-    }
-
-    #[test]
-    fn clear_empties_calendar() {
-        let mut c = cal();
-        c.push(t(0.001), 0, "x");
-        c.push(t(0.002), 1, "y");
-        c.clear();
-        assert!(c.is_empty());
-        assert!(c.pop().is_none());
     }
 }

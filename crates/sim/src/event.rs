@@ -11,22 +11,15 @@
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::num::NonZeroU32;
 
-/// A scheduled entry: the time, insertion sequence and payload.
+/// A scheduled entry: the time, insertion sequence and payload. No per-entry
+/// tag: an event, once pushed, always pops, so a 16-byte payload makes a
+/// 32-byte entry.
 #[derive(Debug, Clone)]
-pub struct EventEntry<E> {
-    /// When the event fires.
-    pub time: SimTime,
-    /// Insertion order, used as a deterministic tie-breaker.
-    pub seq: u64,
-    /// The event payload.
-    pub event: E,
-    /// Cancellation flag index plus one (see
-    /// [`EventQueue::push_cancellable`]); `NonZeroU32` keeps the niche-packed
-    /// option at 4 bytes, which matters when millions of entries flow through
-    /// the heap per simulated second.
-    handle: Option<NonZeroU32>,
+struct EventEntry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
 }
 
 impl<E> PartialEq for EventEntry<E> {
@@ -53,10 +46,6 @@ impl<E> Ord for EventEntry<E> {
     }
 }
 
-/// A handle that can be used to cancel a scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(usize);
-
 /// A deterministic priority queue of timed events.
 ///
 /// # Example
@@ -75,8 +64,6 @@ pub struct EventHandle(usize);
 pub struct EventQueue<E> {
     heap: BinaryHeap<EventEntry<E>>,
     next_seq: u64,
-    cancelled: Vec<bool>,
-    live: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -92,22 +79,19 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            // lint: allow(P1) — construction, once per queue.
-            cancelled: Vec::new(),
-            live: 0,
         }
     }
 
-    /// Number of live (non-cancelled) events in the queue.
+    /// Number of events in the queue.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// Whether the queue holds no live events.
+    /// Whether the queue holds no events.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
     /// Schedules `event` at `time`.
@@ -125,113 +109,19 @@ impl<E> EventQueue<E> {
     /// or same-time ordering becomes unspecified.
     pub fn push_with_seq(&mut self, time: SimTime, seq: u64, event: E) {
         self.next_seq = self.next_seq.max(seq + 1);
-        self.live += 1;
-        self.heap.push(EventEntry {
-            time,
-            seq,
-            event,
-            handle: None,
-        });
+        self.heap.push(EventEntry { time, seq, event });
     }
 
-    /// Schedules `event` at `time` and returns a handle that can later be
-    /// passed to [`EventQueue::cancel`].
-    pub fn push_cancellable(&mut self, time: SimTime, event: E) -> EventHandle {
-        let seq = self.next_seq;
-        self.push_cancellable_with_seq(time, seq, event)
-    }
-
-    /// Like [`EventQueue::push_with_seq`], returning a cancellation handle.
-    pub fn push_cancellable_with_seq(&mut self, time: SimTime, seq: u64, event: E) -> EventHandle {
-        self.next_seq = self.next_seq.max(seq + 1);
-        self.live += 1;
-        let idx = self.cancelled.len();
-        self.cancelled.push(false);
-        let tag = u32::try_from(idx + 1).expect("more than u32::MAX cancellable events");
-        self.heap.push(EventEntry {
-            time,
-            seq,
-            event,
-            handle: NonZeroU32::new(tag),
-        });
-        EventHandle(idx)
-    }
-
-    /// Cancels a previously scheduled event. Cancelling an already-fired or
-    /// already-cancelled event is a no-op and returns `false`.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        match self.cancelled.get_mut(handle.0) {
-            Some(flag) if !*flag => {
-                *flag = true;
-                self.live = self.live.saturating_sub(1);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Returns the time of the next live event without removing it.
+    /// Returns the `(time, seq)` key of the next event without removing it —
+    /// the key the scheduler merges against its timer wheel and calendar.
     #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.drop_cancelled_head();
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Returns the `(time, seq)` key of the next live event without removing
-    /// it — the key the scheduler merges against its timer wheel.
-    #[must_use]
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.drop_cancelled_head();
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         self.heap.peek().map(|e| (e.time, e.seq))
     }
 
-    /// Removes and returns the next live event.
+    /// Removes and returns the next event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let entry = self.heap.pop()?;
-            if let Some(tag) = entry.handle {
-                let idx = tag.get() as usize - 1;
-                if self.cancelled[idx] {
-                    continue;
-                }
-                // Mark fired so a later cancel() is a no-op.
-                self.cancelled[idx] = true;
-            }
-            self.live = self.live.saturating_sub(1);
-            return Some((entry.time, entry.event));
-        }
-    }
-
-    /// An approximate preview of events that will pop soon: the first `k`
-    /// entries of the underlying heap array. The heap's array order is not
-    /// sorted, but its prefix is heavily biased towards the smallest keys,
-    /// which is exactly what a cache-warming pass wants — callers use this
-    /// to touch the state upcoming events will need so the misses overlap
-    /// instead of serialising. Purely advisory: no ordering guarantee.
-    pub fn peek_upcoming(&self, k: usize) -> impl Iterator<Item = &E> {
-        self.heap.iter().take(k).map(|entry| &entry.event)
-    }
-
-    /// Drops all events, leaving the queue empty. Handles issued before the
-    /// clear become permanently dead (their flags are tombstoned, not
-    /// recycled, so they can never alias an event pushed afterwards).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        for flag in &mut self.cancelled {
-            *flag = true;
-        }
-        self.live = 0;
-    }
-
-    fn drop_cancelled_head(&mut self) {
-        while let Some(entry) = self.heap.peek() {
-            match entry.handle {
-                Some(tag) if self.cancelled[tag.get() as usize - 1] => {
-                    self.heap.pop();
-                }
-                _ => break,
-            }
-        }
+        self.heap.pop().map(|entry| (entry.time, entry.event))
     }
 }
 
@@ -261,55 +151,24 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_removes_event() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1.0), "keep");
-        let h = q.push_cancellable(SimTime::from_secs(0.5), "drop");
-        assert_eq!(q.len(), 2);
-        assert!(q.cancel(h));
-        assert!(!q.cancel(h), "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "keep");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut q = EventQueue::new();
-        let h = q.push_cancellable(SimTime::from_secs(0.5), "x");
-        assert_eq!(q.pop().unwrap().1, "x");
-        assert!(!q.cancel(h));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.push_cancellable(SimTime::from_secs(1.0), "a");
-        q.push(SimTime::from_secs(2.0), "b");
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2.0)));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1.0), 1);
-        q.push(SimTime::from_secs(2.0), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
     fn len_tracks_live_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         q.push(SimTime::from_secs(1.0), 1);
-        let h = q.push_cancellable(SimTime::from_secs(2.0), 2);
+        q.push(SimTime::from_secs(2.0), 2);
         assert_eq!(q.len(), 2);
-        q.cancel(h);
+        q.pop();
         assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
         q.pop();
         assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn entry_carries_no_tag_beyond_its_key() {
+        // The simulation's `Event` is 16 bytes; with the 8-byte time and
+        // 8-byte seq that makes 32 bytes a heap entry, leaving no room for a tag.
+        assert_eq!(std::mem::size_of::<EventEntry<[u64; 2]>>(), 32);
     }
 }

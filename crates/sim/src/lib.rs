@@ -39,13 +39,13 @@ pub mod window;
 
 pub use calendar::CalendarQueue;
 pub use error::SimError;
-pub use event::{EventEntry, EventHandle, EventQueue};
+pub use event::EventQueue;
 pub use hash::{stable_hash_str, StableHasher};
 pub use ids::{FlowId, NodeId, PacketId, PacketIdAllocator, SeqNo};
 pub use pool::{available_workers, parallel_map_indexed, parallel_map_with_progress};
 pub use rng::SimRng;
-pub use scheduler::{Clock, Scheduler, TimerHandle};
+pub use scheduler::Scheduler;
 pub use stats::{Counter, Histogram, RunningStats, TimeWeightedAverage};
 pub use time::{SimDuration, SimTime};
-pub use wheel::{TimerWheel, WheelHandle};
+pub use wheel::TimerWheel;
 pub use window::WindowClock;

@@ -1,7 +1,9 @@
 //! The simulation scheduler: a clock plus an event queue.
 //!
-//! [`Scheduler`] is generic over the event payload type `E`. The owning
-//! simulation drives it with a simple loop:
+//! [`Scheduler`] is generic over the event payload type `E`. Its contract is
+//! schedule, then pop in `(time, seq)` order: an event, once scheduled, fires.
+//! Nothing is ever revoked, so no tier keeps tombstones and every entry is
+//! just its key plus payload. The owning simulation drives it with a simple loop:
 //!
 //! ```
 //! use vanet_sim::{Scheduler, SimDuration, SimTime};
@@ -24,27 +26,9 @@
 
 use crate::calendar::CalendarQueue;
 use crate::error::SimError;
-use crate::event::{EventHandle, EventQueue};
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::{TimerWheel, WheelHandle};
-
-/// A cancellation handle for a batched timer: depending on how far out the
-/// deadline was, the entry landed on the wheel or fell back to the heap (see
-/// [`Scheduler::schedule_batched_after_cancellable`]); the handle remembers
-/// which, so [`Scheduler::cancel_timer`] revokes it either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TimerHandle {
-    /// The timer lives in the event heap.
-    Heap(EventHandle),
-    /// The timer lives on the batched wheel.
-    Wheel(WheelHandle),
-}
-
-/// Read-only access to the current simulation time.
-pub trait Clock {
-    /// The current simulation time.
-    fn now(&self) -> SimTime;
-}
+use crate::wheel::TimerWheel;
 
 /// Which tier holds the next pending event (see [`Scheduler::peek_merged`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,12 +60,6 @@ pub struct Scheduler<E> {
 impl<E> Default for Scheduler<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<E> Clock for Scheduler<E> {
-    fn now(&self) -> SimTime {
-        self.now
     }
 }
 
@@ -126,12 +104,6 @@ impl<E> Scheduler<E> {
         self.queue.len()
             + self.wheel.as_ref().map_or(0, TimerWheel::len)
             + self.calendar.as_ref().map_or(0, CalendarQueue::len)
-    }
-
-    /// Whether no events remain.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.pending_events() == 0
     }
 
     /// Enables the batched timer wheel with `slot`-wide buckets. Call once,
@@ -226,50 +198,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Schedules an event `delay` after the current time, returning a handle
-    /// that can be used to cancel it.
-    pub fn schedule_after_cancellable(&mut self, delay: SimDuration, event: E) -> EventHandle {
-        let seq = self.next_seq();
-        self.queue
-            .push_cancellable_with_seq(self.now + delay, seq, event)
-    }
-
-    /// Like [`Scheduler::schedule_batched_after`], returning a handle that
-    /// revokes the deadline in O(1) — the lease pattern: re-arming a timer
-    /// cancels the superseded deadline instead of letting it fire and be
-    /// filtered by the consumer. The entry rides the wheel when it accepts
-    /// the deadline and falls back to the heap otherwise; fire order is
-    /// identical either way.
-    pub fn schedule_batched_after_cancellable(
-        &mut self,
-        delay: SimDuration,
-        event: E,
-    ) -> TimerHandle {
-        let time = self.now + delay;
-        let seq = self.next_seq();
-        match &mut self.wheel {
-            Some(wheel) if wheel.accepts(time) => {
-                TimerHandle::Wheel(wheel.push_cancellable(time, seq, event))
-            }
-            _ => TimerHandle::Heap(self.queue.push_cancellable_with_seq(time, seq, event)),
-        }
-    }
-
-    /// Cancels a previously scheduled event.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle)
-    }
-
-    /// Cancels a batched timer scheduled with
-    /// [`Scheduler::schedule_batched_after_cancellable`]. Cancelling an
-    /// already-fired or already-cancelled timer is a no-op returning `false`.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        match handle {
-            TimerHandle::Heap(h) => self.queue.cancel(h),
-            TimerHandle::Wheel(h) => self.wheel.as_mut().is_some_and(|w| w.cancel(h)),
-        }
-    }
-
     /// The `(time, seq)` key of the next pending event across the heap, the
     /// wheel and the calendar, plus which tier holds it. Seq keys are
     /// globally unique, so the three-way minimum is unambiguous.
@@ -287,12 +215,6 @@ impl<E> Scheduler<E> {
             }
         }
         best
-    }
-
-    /// Time of the next pending event, if any.
-    #[must_use]
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.peek_merged().map(|(time, _, _)| time)
     }
 
     /// Pops the next event and advances the clock to its time.
@@ -319,54 +241,6 @@ impl<E> Scheduler<E> {
         self.processed += 1;
         Some((time, event))
     }
-
-    /// An advisory preview of events likely to pop soon, drawn from the
-    /// heap's array prefix, the wheel's activated slot and the calendar's
-    /// activated bucket (see [`EventQueue::peek_upcoming`],
-    /// [`TimerWheel::peek_upcoming`] and [`CalendarQueue::peek_upcoming`]).
-    /// No ordering guarantee — intended for cache-warming the state the
-    /// next few events will touch.
-    pub fn peek_upcoming(&self, k: usize) -> impl Iterator<Item = &E> {
-        self.queue
-            .peek_upcoming(k)
-            .chain(
-                self.wheel
-                    .iter()
-                    .flat_map(move |wheel| wheel.peek_upcoming(k)),
-            )
-            .chain(
-                self.calendar
-                    .iter()
-                    .flat_map(move |cal| cal.peek_upcoming(k)),
-            )
-    }
-
-    /// Advances the clock to `time` without processing events.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ScheduledInPast`] if `time` is before the clock.
-    pub fn advance_to(&mut self, time: SimTime) -> Result<(), SimError> {
-        if time < self.now {
-            return Err(SimError::ScheduledInPast {
-                now: self.now,
-                requested: time,
-            });
-        }
-        self.now = time;
-        Ok(())
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.queue.clear();
-        if let Some(wheel) = &mut self.wheel {
-            wheel.clear();
-        }
-        if let Some(cal) = &mut self.calendar {
-            cal.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -377,7 +251,6 @@ mod tests {
     enum Ev {
         A,
         B,
-        C,
     }
 
     #[test]
@@ -417,24 +290,6 @@ mod tests {
             "event beyond horizon must not fire"
         );
         assert_eq!(s.pending_events(), 1);
-    }
-
-    #[test]
-    fn cancellable_events() {
-        let mut s = Scheduler::new();
-        let h = s.schedule_after_cancellable(SimDuration::from_secs(1.0), Ev::A);
-        s.schedule_after(SimDuration::from_secs(2.0), Ev::C);
-        assert!(s.cancel(h));
-        let (_, e) = s.next_event().unwrap();
-        assert_eq!(e, Ev::C);
-    }
-
-    #[test]
-    fn advance_to_moves_clock() {
-        let mut s: Scheduler<Ev> = Scheduler::new();
-        s.advance_to(SimTime::from_secs(10.0)).unwrap();
-        assert_eq!(s.now(), SimTime::from_secs(10.0));
-        assert!(s.advance_to(SimTime::from_secs(5.0)).is_err());
     }
 
     #[test]
@@ -565,52 +420,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_cancellable_timers_cancel_on_wheel_and_heap() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.enable_batching(SimDuration::from_secs(1.0));
-        // Near deadline lands on the wheel, far deadline falls back to heap.
-        let near = s.schedule_batched_after_cancellable(SimDuration::from_secs(1.0), 1);
-        let far = s.schedule_batched_after_cancellable(SimDuration::from_secs(100_000.0), 2);
-        assert!(matches!(near, TimerHandle::Wheel(_)));
-        assert!(matches!(far, TimerHandle::Heap(_)));
-        s.schedule_after(SimDuration::from_secs(2.0), 3);
-        assert!(s.cancel_timer(near));
-        assert!(s.cancel_timer(far));
-        assert!(!s.cancel_timer(near), "double cancel is a no-op");
-        assert_eq!(s.next_event().unwrap().1, 3);
-        assert!(s.next_event().is_none());
-    }
-
-    #[test]
-    fn renewed_lease_fires_once_at_the_latest_deadline() {
-        let mut s: Scheduler<&str> = Scheduler::new();
-        s.enable_batching(SimDuration::from_secs(1.0));
-        let mut lease = s.schedule_batched_after_cancellable(SimDuration::from_secs(3.0), "lease");
-        for _ in 0..3 {
-            assert!(s.cancel_timer(lease));
-            lease = s.schedule_batched_after_cancellable(SimDuration::from_secs(4.0), "lease");
-        }
-        let (time, event) = s.next_event().unwrap();
-        assert_eq!(event, "lease");
-        assert_eq!(time, SimTime::from_secs(4.0));
-        assert!(s.next_event().is_none());
-    }
-
-    #[test]
     fn batching_without_enable_falls_back_to_heap() {
         let mut s: Scheduler<Ev> = Scheduler::new();
         s.schedule_batched_after(SimDuration::from_secs(1.0), Ev::A);
         assert_eq!(s.pending_events(), 1);
         assert_eq!(s.next_event().unwrap().1, Ev::A);
-    }
-
-    #[test]
-    fn is_idle_and_clear() {
-        let mut s = Scheduler::new();
-        assert!(s.is_idle());
-        s.schedule_after(SimDuration::from_secs(1.0), Ev::A);
-        assert!(!s.is_idle());
-        s.clear();
-        assert!(s.is_idle());
     }
 }

@@ -9,10 +9,9 @@
 //! which shrinks every remaining heap operation.
 //!
 //! Originally the wheel only batched beacons; it is now a general deadline
-//! wheel: any event type can ride it, and [`TimerWheel::push_cancellable`]
-//! returns a [`WheelHandle`] that revokes a pending deadline in O(1)
-//! (tombstone flag, reaped when the entry surfaces) — the primitive lease-
-//! style timers need when a deadline is superseded before it fires.
+//! wheel that any event type can ride. No deadline is ever revoked: periodic
+//! timers re-arm themselves when they fire, and lease-style expiry is checked
+//! lazily at those firings, so an entry is just its key and payload.
 //!
 //! Determinism: every entry carries the scheduler-wide `(time, seq)` key, the
 //! same key the event heap orders by. [`TimerWheel::peek`] always exposes the
@@ -22,18 +21,13 @@
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
-use std::num::NonZeroU32;
 
-/// One wheel entry: the `(time, seq)` ordering key, the payload, and the
-/// index of its cancellation flag (if cancellable).
+/// One wheel entry: the `(time, seq)` ordering key plus the payload.
 #[derive(Debug, Clone)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
     event: E,
-    /// Cancellation flag index plus one; niche-packed to 4 bytes because a
-    /// fleet's worth of entries lands in every slot.
-    handle: Option<NonZeroU32>,
 }
 
 impl<E> Entry<E> {
@@ -41,10 +35,6 @@ impl<E> Entry<E> {
         (self.time, self.seq)
     }
 }
-
-/// A handle that can be used to cancel a deadline scheduled on the wheel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WheelHandle(usize);
 
 /// A timer wheel whose slots are `slot` wide, merged against the event heap
 /// by `(time, seq)` key.
@@ -58,10 +48,7 @@ pub struct TimerWheel<E> {
     /// The activated slot, sorted *descending* by key so the next entry to
     /// fire pops off the back in O(1).
     current: Vec<Entry<E>>,
-    /// Cancellation flags, indexed by [`WheelHandle`]. A flag flips to `true`
-    /// on cancel (or once its entry fires, making later cancels no-ops).
-    cancelled: Vec<bool>,
-    /// Live (non-cancelled) entries.
+    /// Pending entries across `slots` and `current`.
     len: usize,
 }
 
@@ -83,7 +70,6 @@ impl<E> TimerWheel<E> {
             base: 0,
             slots: VecDeque::new(),
             current: Vec::new(),
-            cancelled: Vec::new(),
             len: 0,
         }
     }
@@ -105,7 +91,7 @@ impl<E> TimerWheel<E> {
         self.slot_index(time) - self.base < Self::MAX_SLOTS_AHEAD
     }
 
-    /// Number of pending (non-cancelled) entries.
+    /// Number of pending entries.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
@@ -117,9 +103,11 @@ impl<E> TimerWheel<E> {
         self.len == 0
     }
 
-    fn insert(&mut self, entry: Entry<E>) {
+    /// Schedules `event` at `time` with ordering key `(time, seq)`.
+    pub fn push(&mut self, time: SimTime, seq: u64, event: E) {
         self.len += 1;
-        let idx = self.slot_index(entry.time);
+        let entry = Entry { time, seq, event };
+        let idx = self.slot_index(time);
         if idx < self.base {
             // The slot is already activated (or the wheel has advanced past
             // it): splice into the sorted remainder so ordering holds.
@@ -135,68 +123,10 @@ impl<E> TimerWheel<E> {
         self.slots[offset].push(entry);
     }
 
-    /// Schedules `event` at `time` with ordering key `(time, seq)`.
-    pub fn push(&mut self, time: SimTime, seq: u64, event: E) {
-        self.insert(Entry {
-            time,
-            seq,
-            event,
-            handle: None,
-        });
-    }
-
-    /// Schedules `event` at `time` and returns a handle that can later be
-    /// passed to [`TimerWheel::cancel`].
-    ///
-    /// Each cancellable push allocates one flag slot for the wheel's
-    /// lifetime (the same bookkeeping [`EventQueue`](crate::EventQueue)
-    /// uses), so this suits timers that are cancelled occasionally — a
-    /// workload that re-arms per entry at high frequency should prefer a
-    /// supersede-on-fire scheme over per-renewal cancellation.
-    pub fn push_cancellable(&mut self, time: SimTime, seq: u64, event: E) -> WheelHandle {
-        let handle = self.cancelled.len();
-        self.cancelled.push(false);
-        let tag = u32::try_from(handle + 1).expect("more than u32::MAX cancellable deadlines");
-        self.insert(Entry {
-            time,
-            seq,
-            event,
-            handle: NonZeroU32::new(tag),
-        });
-        WheelHandle(handle)
-    }
-
-    /// Cancels a pending deadline in O(1). Cancelling an already-fired or
-    /// already-cancelled deadline is a no-op and returns `false`. The
-    /// tombstoned entry is reaped when its slot surfaces.
-    pub fn cancel(&mut self, handle: WheelHandle) -> bool {
-        match self.cancelled.get_mut(handle.0) {
-            Some(flag) if !*flag => {
-                *flag = true;
-                self.len -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn is_cancelled(&self, entry: &Entry<E>) -> bool {
-        entry
-            .handle
-            .is_some_and(|tag| self.cancelled[tag.get() as usize - 1])
-    }
-
-    /// Drops cancelled entries off the back of `current`, then activates
-    /// slots until `current` ends in a live entry or the wheel is drained.
+    /// Activates slots until `current` holds an entry or the wheel is
+    /// drained.
     fn advance(&mut self) {
-        loop {
-            while let Some(tail) = self.current.last() {
-                if self.is_cancelled(tail) {
-                    self.current.pop();
-                } else {
-                    return;
-                }
-            }
+        while self.current.is_empty() {
             let Some(mut slot) = self.slots.pop_front() else {
                 return;
             };
@@ -219,31 +149,8 @@ impl<E> TimerWheel<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.advance();
         let entry = self.current.pop()?;
-        if let Some(tag) = entry.handle {
-            // Mark fired so a later cancel() is a no-op.
-            self.cancelled[tag.get() as usize - 1] = true;
-        }
         self.len -= 1;
         Some((entry.time, entry.event))
-    }
-
-    /// The next `k` entries of the activated slot, soonest first (exact for
-    /// the current slot; later slots are not previewed). Advisory, for
-    /// cache-warming passes over upcoming events.
-    pub fn peek_upcoming(&self, k: usize) -> impl Iterator<Item = &E> {
-        self.current.iter().rev().take(k).map(|entry| &entry.event)
-    }
-
-    /// Drops all pending entries. Handles issued before the clear become
-    /// permanently dead (their flags are tombstoned, not recycled, so they
-    /// can never alias an entry pushed afterwards).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.current.clear();
-        for flag in &mut self.cancelled {
-            *flag = true;
-        }
-        self.len = 0;
     }
 }
 
@@ -293,60 +200,9 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_revokes_a_pending_deadline() {
-        let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        let h = w.push_cancellable(t(1.0), 0, "lease");
-        w.push(t(2.0), 1, "keep");
-        assert_eq!(w.len(), 2);
-        assert!(w.cancel(h));
-        assert!(!w.cancel(h), "double cancel is a no-op");
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.pop().unwrap().1, "keep");
-        assert!(w.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        let h = w.push_cancellable(t(0.5), 0, "x");
-        assert_eq!(w.pop().unwrap().1, "x");
-        assert!(!w.cancel(h));
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn peek_skips_cancelled_entries() {
-        let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        let h = w.push_cancellable(t(0.5), 0, "dead");
-        w.push(t(1.5), 1, "live");
-        w.cancel(h);
-        assert_eq!(w.peek(), Some((t(1.5), 1)));
-        assert_eq!(w.pop().unwrap().1, "live");
-    }
-
-    #[test]
-    fn lease_renewal_pattern_fires_only_the_latest_deadline() {
-        // The neighbour-lease shape: each renewal cancels the previous
-        // deadline and schedules a later one.
-        let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        let mut handle = w.push_cancellable(t(3.0), 0, 3u32);
-        for (seq, deadline) in [(1u64, 4.0), (2, 5.0), (3, 6.0)] {
-            assert!(w.cancel(handle));
-            handle = w.push_cancellable(t(deadline), seq, deadline as u32);
-        }
-        assert_eq!(w.len(), 1);
-        let fired: Vec<u32> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
-        assert_eq!(fired, vec![6]);
-    }
-
-    #[test]
-    fn clear_empties_wheel() {
-        let mut w = TimerWheel::new(SimDuration::from_secs(1.0));
-        w.push(t(1.0), 0, 1);
-        let h = w.push_cancellable(t(2.0), 1, 2);
-        w.clear();
-        assert!(w.is_empty());
-        assert!(w.pop().is_none());
-        assert!(!w.cancel(h), "handles from before clear are dead");
+    fn entry_carries_no_tag_beyond_its_key() {
+        // The simulation's `Event` is 16 bytes; with the 8-byte time and
+        // 8-byte seq that makes 32 bytes a wheel entry, leaving no room for a tag.
+        assert_eq!(std::mem::size_of::<Entry<[u64; 2]>>(), 32);
     }
 }
